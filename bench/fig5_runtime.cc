@@ -8,7 +8,7 @@
 // The paper uses n = 23,435. Algorithm 2's cubic cost makes the full size
 // impractical for a default run, so the bench defaults to TCM_N = 4000
 // synthetic records (same dimensionality and correlation); set TCM_N to
-// reproduce at other scales. EXPERIMENTS.md records the sizes used.
+// reproduce at other scales.
 
 #include <cmath>
 #include <cstdio>

@@ -23,7 +23,8 @@ constexpr size_t kChunkBytes = 1 << 16;
 // 1-based line the record began on.
 Status ForEachCsvRecord(
     const std::string& path,
-    const std::function<Status(const std::vector<std::string>&, size_t)>&
+    const std::function<Status(const std::vector<std::string_view>&,
+                               size_t)>&
         fn) {
   std::ifstream input(path, std::ios::binary);
   if (!input) {
@@ -31,7 +32,7 @@ Status ForEachCsvRecord(
   }
   CsvTokenizer tokenizer;
   std::vector<char> chunk(kChunkBytes);
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   bool input_done = false;
   while (true) {
     TCM_ASSIGN_OR_RETURN(bool have, tokenizer.Next(&fields));
@@ -72,9 +73,9 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
   size_t rows = 0;
   Status pass1 = ForEachCsvRecord(
       csv_path,
-      [&](const std::vector<std::string>& fields, size_t line) -> Status {
+      [&](const std::vector<std::string_view>& fields, size_t line) -> Status {
         if (names.empty()) {
-          for (const std::string& field : fields) {
+          for (std::string_view field : fields) {
             names.emplace_back(StripWhitespace(field));
           }
           numeric.assign(names.size(), true);
@@ -112,7 +113,7 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
   bool seen_header = false;
   Status pass2 = ForEachCsvRecord(
       csv_path,
-      [&](const std::vector<std::string>& fields, size_t line) -> Status {
+      [&](const std::vector<std::string_view>& fields, size_t line) -> Status {
         if (!seen_header) {
           seen_header = true;
           return Status::Ok();

@@ -68,11 +68,20 @@ bool ParseDouble(std::string_view text, double* out) {
 }
 
 std::string FormatDouble(double value, int precision) {
+  std::string out;
+  AppendDouble(value, precision, &out);
+  return out;
+}
+
+void AppendDouble(double value, int precision, std::string* out) {
   char buffer[64];
   auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
                               std::chars_format::general, precision);
-  if (result.ec != std::errc()) return "0";  // cannot happen at this size
-  return std::string(buffer, result.ptr);
+  if (result.ec != std::errc()) {  // cannot happen at this size
+    out->push_back('0');
+    return;
+  }
+  out->append(buffer, result.ptr);
 }
 
 }  // namespace tcm

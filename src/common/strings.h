@@ -24,6 +24,9 @@ bool ParseDouble(std::string_view text, double* out);
 // trailing zeros ("12.5", "0.01", "3").
 std::string FormatDouble(double value, int precision = 6);
 
+// Appends FormatDouble(value, precision) to *out without a temporary.
+void AppendDouble(double value, int precision, std::string* out);
+
 }  // namespace tcm
 
 #endif  // TCM_COMMON_STRINGS_H_

@@ -26,11 +26,11 @@ Result<Dataset> DrainReader(
   return out;
 }
 
-void WriteLines(const Dataset& data, std::ostream& out) {
+void WriteLines(const Dataset& data, std::ostream& out, ThreadPool* pool) {
   std::string header;
   AppendCsvHeader(data.schema(), &header);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  WriteCsvRows(data, out);
+  WriteCsvRows(data, out, pool);
 }
 
 }  // namespace
@@ -43,10 +43,11 @@ Result<Dataset> ReadNumericCsv(const std::string& path) {
   return DrainReader(StreamingCsvReader::OpenNumeric(path));
 }
 
-Status WriteCsv(const Dataset& data, const std::string& path) {
+Status WriteCsv(const Dataset& data, const std::string& path,
+                ThreadPool* pool) {
   std::ofstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open '" + path + "' for writing");
-  WriteLines(data, file);
+  WriteLines(data, file, pool);
   if (!file.good()) return Status::IoError("write to '" + path + "' failed");
   return Status::Ok();
 }
@@ -58,7 +59,7 @@ Result<Dataset> ParseCsvString(const std::string& text, const Schema& schema) {
 
 std::string WriteCsvString(const Dataset& data) {
   std::ostringstream out;
-  WriteLines(data, out);
+  WriteLines(data, out, nullptr);
   return out.str();
 }
 

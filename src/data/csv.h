@@ -9,6 +9,8 @@
 
 namespace tcm {
 
+class ThreadPool;
+
 // Reads a comma-separated file whose first line is a header matching
 // `schema` attribute names (order must match). Numeric attributes parse as
 // doubles; categorical attributes map labels to codes via the schema's
@@ -21,8 +23,10 @@ Result<Dataset> ReadCsv(const std::string& path, const Schema& schema);
 Result<Dataset> ReadNumericCsv(const std::string& path);
 
 // Writes the dataset (header + rows). Categorical cells are written as
-// their labels.
-Status WriteCsv(const Dataset& data, const std::string& path);
+// their labels. With a pool, rows are formatted on it (WriteCsvRows in
+// csv_stream.h); the bytes are the same either way.
+Status WriteCsv(const Dataset& data, const std::string& path,
+                ThreadPool* pool = nullptr);
 
 // In-memory variants used by tests (no filesystem dependency).
 Result<Dataset> ParseCsvString(const std::string& text, const Schema& schema);

@@ -1,12 +1,13 @@
 #ifndef TCM_DATA_CSV_STREAM_H_
 #define TCM_DATA_CSV_STREAM_H_
 
-#include <deque>
 #include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -15,6 +16,8 @@
 #include "data/record_source.h"
 
 namespace tcm {
+
+class ThreadPool;
 
 // Incremental CSV plumbing shared by the in-memory reader (csv.h) and
 // the streaming reader below. Both paths tokenize, validate and convert
@@ -37,6 +40,11 @@ namespace tcm {
 // Push tokenizer: Feed() raw bytes in any chunking, call Finish() at end
 // of input, pull complete records with Next(). The chunking never
 // changes the token stream or the verdict (fuzzed in tests).
+//
+// Runs of plain bytes (anything but , " CR LF, and anything but " inside
+// a quoted field) are copied in bulk; the per-byte state machine only
+// sees the separators, quotes and line ends. Field bytes live in one
+// reused arena, so a record costs no allocation once the arena is warm.
 class CsvTokenizer {
  public:
   // Feeds the next chunk. Complete records become available via Next();
@@ -51,8 +59,10 @@ class CsvTokenizer {
   // Pulls the next complete record into *fields. Returns true when one
   // was produced, false when more input is needed (or, after Finish(),
   // when the input is exhausted). Records queued before a malformed
-  // construct are returned first; then the error.
-  Result<bool> Next(std::vector<std::string>* fields);
+  // construct are returned first; then the error. The views point into
+  // the tokenizer's arena and stay valid until the next Feed() or
+  // Finish().
+  Result<bool> Next(std::vector<std::string_view>* fields);
 
   // 1-based physical line on which the record returned by the last
   // successful Next() began (quoted fields may span lines).
@@ -67,22 +77,32 @@ class CsvTokenizer {
     kQuoteSeen,    // saw '"' inside a quoted field: escape or close
   };
 
+  // A complete record: fields [first_field, end_field) of field_ends_.
+  struct ReadyRecord {
+    size_t first_field = 0;
+    size_t end_field = 0;
+    size_t line = 0;
+  };
+
   void Consume(char c);
   void EndField();
   void EndRecord();
   void Fail(const std::string& message);
-
-  struct PendingRecord {
-    std::vector<std::string> fields;
-    size_t line = 0;
-  };
+  // Drops the bytes of records already handed out by Next(), keeping
+  // only the record in progress.
+  void Compact();
 
   State state_ = State::kRecordStart;
   bool pending_cr_ = false;   // saw CR, waiting to see if LF follows
   bool finished_ = false;
-  std::string field_;
-  std::vector<std::string> record_;
-  std::deque<PendingRecord> ready_;
+  // Bytes of every queued field back to back, then the field in
+  // progress; field_ends_ holds the arena offset one past each
+  // completed field.
+  std::string arena_;
+  std::vector<size_t> field_ends_;
+  std::vector<ReadyRecord> ready_;
+  size_t next_ready_ = 0;    // first record of ready_ not yet returned
+  size_t record_first_ = 0;  // field_ends_ index where the open record starts
   Status error_ = Status::Ok();
   size_t line_ = 1;               // current physical line
   size_t record_start_line_ = 1;  // line the in-progress record began on
@@ -92,23 +112,50 @@ class CsvTokenizer {
 // --- Shared record-level helpers (used by both readers) ---
 
 // True for a blank-line record: a single field that strips to empty.
-bool IsBlankCsvRecord(const std::vector<std::string>& fields);
+bool IsBlankCsvRecord(const std::vector<std::string_view>& fields);
 
 // Validates a header record against `schema`: same column count, names
 // match in order after whitespace stripping.
-Status ValidateCsvHeader(const std::vector<std::string>& fields,
+Status ValidateCsvHeader(const std::vector<std::string_view>& fields,
                          const Schema& schema);
 
 // Builds the all-numeric, role-kOther schema ReadNumericCsv infers from
 // a header record.
-Schema NumericSchemaFromHeader(const std::vector<std::string>& fields);
+Schema NumericSchemaFromHeader(const std::vector<std::string_view>& fields);
+
+// Label -> code lookup for every categorical attribute of a schema,
+// built once per reader so converting a cell is one hash probe instead
+// of a scan over the category list. A label listed twice maps to its
+// first code, as the scan did.
+class CsvCategoryIndex {
+ public:
+  CsvCategoryIndex() = default;
+  explicit CsvCategoryIndex(const Schema& schema);
+
+  // Code of `label` in categorical attribute `col`, or -1 when unknown.
+  int32_t Find(size_t col, std::string_view label) const;
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  using LabelMap =
+      std::unordered_map<std::string, int32_t, Hash, std::equal_to<>>;
+  std::vector<LabelMap> columns_;  // empty map for numeric attributes
+};
 
 // Converts one CSV record into a schema-validated Record. `line` is the
 // physical line the record began on, used in error messages. Fields are
 // whitespace-stripped before interpretation; categorical fields must be
-// known labels, numeric fields must parse as doubles.
-Result<Record> CsvFieldsToRecord(const std::vector<std::string>& fields,
-                                 const Schema& schema, size_t line);
+// known labels (looked up in `categories`, built from `schema`),
+// numeric fields must parse as doubles.
+Result<Record> CsvFieldsToRecord(const std::vector<std::string_view>& fields,
+                                 const Schema& schema,
+                                 const CsvCategoryIndex& categories,
+                                 size_t line);
 
 // --- Shared formatting (used by WriteCsv and StreamingCsvWriter) ---
 
@@ -121,10 +168,19 @@ void AppendCsvHeader(const Schema& schema, std::string* out);
 // label, quoted when it contains separators or quotes.
 void AppendCsvRow(const Dataset& data, size_t row, std::string* out);
 
-// Writes every row of `data` (no header) to `out` through a bounded
-// buffer — the one row-emission loop behind WriteCsv and
-// StreamingCsvWriter, so their bytes cannot drift apart.
-void WriteCsvRows(const Dataset& data, std::ostream& out);
+// Rows per formatting block of WriteCsvRows: a ~48k-row streaming window
+// still splits into several blocks per pool thread.
+inline constexpr size_t kCsvWriteBlockRows = 1024;
+
+// Writes every row of `data` (no header) to `out` — the one row-emission
+// routine behind WriteCsv and StreamingCsvWriter, so their bytes cannot
+// drift apart. Rows are formatted in blocks of kCsvWriteBlockRows. With
+// a pool, blocks are formatted on it (the caller helps through
+// ThreadPool::TryRunOneTask) and written in row order, with at most
+// 2 x threads blocks in flight; without one they are formatted inline.
+// The bytes do not depend on the pool or its size.
+void WriteCsvRows(const Dataset& data, std::ostream& out,
+                  ThreadPool* pool = nullptr);
 
 // --- Streaming reader / writer ---
 
@@ -185,12 +241,13 @@ class StreamingCsvReader : public RecordSource {
 
   // Pulls the next record from the tokenizer, feeding chunks as needed.
   // Returns false at end of input.
-  Result<bool> NextRecord(std::vector<std::string>* fields);
+  Result<bool> NextRecord(std::vector<std::string_view>* fields);
 
   std::unique_ptr<std::istream> input_;
   Schema schema_;
   StreamingCsvOptions options_;
   CsvTokenizer tokenizer_;
+  CsvCategoryIndex categories_;
   std::vector<char> chunk_;
   bool input_done_ = false;
   size_t rows_read_ = 0;
@@ -205,8 +262,9 @@ class StreamingCsvWriter {
       const std::string& path, const Schema& schema);
 
   // Appends every row of `batch` (whose schema must have the same names
-  // and types as the writer's).
-  Status WriteRows(const Dataset& batch);
+  // and types as the writer's), formatting on `pool` when given (see
+  // WriteCsvRows).
+  Status WriteRows(const Dataset& batch, ThreadPool* pool = nullptr);
 
   // Flushes and checks the stream; further writes are invalid.
   Status Close();

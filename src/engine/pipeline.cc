@@ -166,8 +166,8 @@ Result<PipelineReport> PipelineRunner::Run(const Dataset& data,
   if (!spec.output_path.empty()) {
     TraceSpan span("write");
     timer.Restart();
-    TCM_RETURN_IF_ERROR(WriteCsv(report.result.anonymized,
-                                 spec.output_path));
+    TCM_RETURN_IF_ERROR(
+        WriteCsv(report.result.anonymized, spec.output_path, &pool_));
     report.write_seconds = timer.ElapsedSeconds();
   }
   report.total_seconds = total.ElapsedSeconds();

@@ -217,7 +217,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
         TCM_ASSIGN_OR_RETURN(
             writer, StreamingCsvWriter::Open(spec.output_path, schema));
       }
-      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized));
+      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized, &pool_));
       report.write_seconds += timer.ElapsedSeconds();
     }
     if (sink) {

@@ -271,6 +271,16 @@ TEST(StringsTest, FormatDoubleTrimsZeros) {
   EXPECT_EQ(FormatDouble(12.5, 3), "12.5");
 }
 
+TEST(StringsTest, AppendDoubleAppendsFormatDouble) {
+  std::string out = "x,";
+  AppendDouble(0.1, 17, &out);
+  out.push_back(',');
+  AppendDouble(-2.5e-300, 17, &out);
+  EXPECT_EQ(out, "x," + FormatDouble(0.1, 17) + "," +
+                     FormatDouble(-2.5e-300, 17));
+  EXPECT_EQ(FormatDouble(0.1, 17), "0.10000000000000001");
+}
+
 // Regression for the LC_NUMERIC bug: number parsing and formatting used
 // to go through strtod/printf, which read the process locale — under a
 // comma-decimal locale (de_DE, fr_FR, ...) "3.5" misparsed as 3 and

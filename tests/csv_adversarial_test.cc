@@ -4,6 +4,7 @@
 // input — well-formed, malformed, or random bytes — gets the identical
 // verdict from both paths, at every feed-chunk size.
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -232,6 +233,161 @@ TEST(CsvAdversarialTest, ErrorLineNumbersCountPhysicalLines) {
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("line 4"), std::string::npos)
       << result.status().message();
+}
+
+// ------------------------------------------------- chunk boundaries
+
+// The tokenizer copies runs of plain bytes in bulk and only steps
+// through separators, quotes and line ends one at a time. These cases
+// put the bytes where a run ends exactly on a chunk edge, at the 1-byte
+// and 64 KiB feed sizes, and pin the error line numbers.
+
+constexpr size_t kBigChunk = 64 * 1024;
+
+// Header plus valid filler rows (`row`, space-padded on the last one)
+// so that whatever is appended next starts at byte offset `at`.
+std::string FillTo(size_t at, const std::string& header,
+                   const std::string& row) {
+  std::string text = header + "\n";
+  const size_t step = row.size() + 1;
+  while (at - text.size() > 2 * step) text += row + "\n";
+  text += row + std::string(at - text.size() - step, ' ') + "\n";
+  EXPECT_EQ(text.size(), at);
+  return text;
+}
+
+// Physical line on which the byte at text.size() sits.
+size_t NextLine(const std::string& text) {
+  return 1 + static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+// Parses at the 1-byte and 64 KiB feed sizes (and every size of
+// ParseBothWays); all must agree. Returns the in-memory result.
+Result<Dataset> ParseAtChunkEdges(const std::string& text,
+                                  const Schema& schema) {
+  Result<Dataset> expected = ParseBothWays(text, schema);
+  for (size_t buffer_bytes : {size_t{1}, kBigChunk}) {
+    Result<Dataset> streamed = ParseStreamed(text, schema, buffer_bytes);
+    EXPECT_EQ(expected.ok(), streamed.ok()) << buffer_bytes;
+    if (expected.ok() && streamed.ok()) {
+      EXPECT_TRUE(*expected == *streamed) << buffer_bytes;
+    } else if (!expected.ok() && !streamed.ok()) {
+      EXPECT_EQ(expected.status().message(), streamed.status().message());
+    }
+  }
+  return expected;
+}
+
+TEST(CsvAdversarialTest, CrlfSplitAcrossChunkEdge) {
+  // "3,4\r" ends the first 64 KiB chunk; its LF opens the second.
+  std::string text = FillTo(kBigChunk - 4, "a,b", "1,2");
+  const size_t rows_before = NextLine(text) - 2;
+  text += "3,4\r\n5,6\n";
+  ASSERT_EQ(text[kBigChunk - 1], '\r');
+  auto result = ParseAtChunkEdges(text, TwoNumericColumns());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRecords(), rows_before + 2);
+  EXPECT_DOUBLE_EQ(result->cell(rows_before, 1).numeric(), 4.0);
+  EXPECT_DOUBLE_EQ(result->cell(rows_before + 1, 0).numeric(), 5.0);
+}
+
+TEST(CsvAdversarialTest, LoneCrAtChunkEdgeIsFieldData) {
+  // The CR ends the chunk and is followed by data, not LF: it joins the
+  // field, which then fails to parse on the line it began.
+  std::string text = FillTo(kBigChunk - 4, "a,b", "1,2");
+  const size_t line = NextLine(text);
+  text += "3,4\r5\n";
+  ASSERT_EQ(text[kBigChunk - 1], '\r');
+  auto result = ParseAtChunkEdges(text, TwoNumericColumns());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "line " + std::to_string(line) + ": cannot parse '4\r5' as a " +
+                "number for attribute 'b'");
+}
+
+TEST(CsvAdversarialTest, CrAfterClosingQuoteAtChunkEdge) {
+  std::string text = FillTo(kBigChunk - 6, "a,b", "1,2");
+  const size_t rows_before = NextLine(text) - 2;
+  text += "3,\"4\"\r\n5,6\n";
+  ASSERT_EQ(text[kBigChunk - 1], '\r');
+  auto ok = ParseAtChunkEdges(text, TwoNumericColumns());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->NumRecords(), rows_before + 2);
+
+  // CR after a closing quote followed by garbage: the error names the
+  // line the tokenizer stands on.
+  std::string bad = FillTo(kBigChunk - 6, "a,b", "1,2");
+  const size_t line = NextLine(bad);
+  bad += "3,\"4\"\rx\n";
+  ASSERT_EQ(bad[kBigChunk - 1], '\r');
+  auto result = ParseAtChunkEdges(bad, TwoNumericColumns());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "line " + std::to_string(line) +
+                ": unexpected character after closing quote");
+}
+
+TEST(CsvAdversarialTest, ClosingQuoteAtChunkEdge) {
+  // The closing quote is the last byte of the chunk; the comma, record
+  // end or escape that decides its meaning arrives in the next one.
+  std::string text = FillTo(kBigChunk - 3, "a,b", "1,2");
+  const size_t rows_before = NextLine(text) - 2;
+  text += "\"3\",4\n";
+  ASSERT_EQ(text[kBigChunk - 1], '"');
+  auto result = ParseAtChunkEdges(text, TwoNumericColumns());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_DOUBLE_EQ(result->cell(rows_before, 0).numeric(), 3.0);
+
+  std::string escaped = FillTo(kBigChunk - 8, "num,cat", "1,red");
+  const size_t escaped_rows = NextLine(escaped) - 2;
+  escaped += "2,\"with\"\"quote\"\n";
+  ASSERT_EQ(escaped[kBigChunk - 1], '"');
+  auto quoted = ParseAtChunkEdges(escaped, MixedColumns());
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  EXPECT_EQ(quoted->cell(escaped_rows, 1).category(), 4);
+
+  std::string bad = FillTo(kBigChunk - 3, "a,b", "1,2");
+  const size_t line = NextLine(bad);
+  bad += "\"3\"x,4\n";
+  ASSERT_EQ(bad[kBigChunk - 1], '"');
+  auto rejected = ParseAtChunkEdges(bad, TwoNumericColumns());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "line " + std::to_string(line) +
+                ": unexpected character after closing quote");
+}
+
+TEST(CsvAdversarialTest, FieldsSpanningChunkEdge) {
+  // An unquoted number and a quoted multi-line label both straddle the
+  // 64 KiB edge; a ragged row after them reports its physical line.
+  std::string text = FillTo(kBigChunk - 4, "num,cat", "1,red");
+  const size_t rows_before = NextLine(text) - 2;
+  text += "123456.75,blue\n7,\"with";
+  ASSERT_LT(text.size(), 2 * kBigChunk);
+  text += std::string(2 * kBigChunk - text.size() - 2, 'x');
+  // Pad the label so the embedded newline sits on the second edge.
+  const std::string label = text.substr(text.rfind('"') + 1) + "\nnewline";
+  text += "\nnewline\"\n";
+  ASSERT_EQ(text[2 * kBigChunk - 2], '\n');
+  const size_t ragged_line = NextLine(text);
+  text += "bad\n";
+
+  Schema schema({Attribute{"num", AttributeType::kNumeric,
+                           AttributeRole::kQuasiIdentifier, {}},
+                 Attribute{"cat", AttributeType::kNominal,
+                           AttributeRole::kConfidential,
+                           {"red", "blue", label}}});
+  auto rejected = ParseAtChunkEdges(text, schema);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "line " + std::to_string(ragged_line) + " has 1 fields");
+
+  text.resize(text.size() - 4);  // drop the ragged row
+  auto result = ParseAtChunkEdges(text, schema);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRecords(), rows_before + 2);
+  EXPECT_DOUBLE_EQ(result->cell(rows_before, 0).numeric(), 123456.75);
+  EXPECT_EQ(result->cell(rows_before + 1, 1).category(), 2);
 }
 
 // --------------------------------------------------------------- fuzz
