@@ -18,10 +18,10 @@ class RecordSource;
 
 // ---------------------------------------------------------------------------
 // JobSpec: the one versioned description of an anonymization job, the
-// public API boundary of this library. It subsumes the engine's sibling
-// entry points — PipelineSpec (in-memory), StreamingSpec (out-of-core)
-// and RunBatch (parameter sweeps) — which remain thin internals the
-// facade lowers onto (api/runner.h). A JobSpec round-trips through JSON
+// public API boundary of this library. It subsumes the engine's entry
+// points — StreamingSpec (in-memory jobs run as one window, streamed
+// jobs window by window) and RunBatch (parameter sweeps) — which remain
+// thin internals the facade lowers onto (api/runner.h). A JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
 // config-driven deployments, services and the CLI all speak the same
 // schema. See README.md ("API") for the documented job.json layout.
@@ -39,9 +39,9 @@ enum class InputKind { kCsvPath, kSynthetic, kDataset, kRecordSource };
 // byte-identical releases to the CSV it was converted from.
 enum class InputFormat { kCsv, kTcmb };
 
-// How the job executes: fully in memory through PipelineRunner, or
-// window by window through StreamingPipelineRunner under a bounded
-// resident-row budget.
+// How the job executes; both run on StreamingPipelineRunner. In memory:
+// the whole input is materialized and runs as a single window. Streaming:
+// window by window under a bounded resident-row budget.
 enum class ExecutionMode { kInMemory, kStreaming };
 
 const char* InputKindName(InputKind kind);

@@ -34,10 +34,11 @@ struct SweepOutcome {
   double elapsed_seconds = 0.0;
 };
 
-// RunReport: the one machine-readable account of a job, a superset of
-// the engine's PipelineReport and StreamingReport. Every execution mode
-// fills the shared core (rows, cluster stats, verification, timings);
-// streaming runs add per-window summaries, sweeps add per-cell outcomes.
+// RunReport: the one machine-readable account of a job, filled from the
+// engine's StreamingReport (or the batch outcomes of a sweep). Every
+// execution mode fills the shared core (rows, cluster stats,
+// verification, timings); streaming runs add per-window summaries to the
+// JSON, sweeps add per-cell outcomes.
 // ToJson() serializes everything except the in-memory release dataset;
 // all wall-clock fields end in "_seconds" so tooling (and the golden
 // report pin) can normalize timings with one pattern.
@@ -67,7 +68,7 @@ struct RunReport {
   size_t clusters = 0;  // streaming: summed over windows; sweeps: 0
   size_t min_cluster_size = 0;
   size_t max_cluster_size = 0;
-  double average_cluster_size = 0.0;  // in-memory runs only
+  double average_cluster_size = 0.0;  // serialized for in-memory runs
   double max_cluster_emd = 0.0;
   double normalized_sse = 0.0;
 
@@ -75,8 +76,8 @@ struct RunReport {
   size_t threads = 1;
   size_t num_shards = 0;
   size_t final_merges = 0;
-  size_t num_windows = 0;        // streaming only
-  size_t peak_resident_rows = 0; // streaming only
+  size_t num_windows = 0;        // serialized for streaming runs
+  size_t peak_resident_rows = 0; // serialized for streaming runs
   // Global repair-pass engine and its ledger (see MergeStats): subtree
   // fan-out plus the bound-pruning counters, which always satisfy
   // candidate_checks == pruned_checks + exact_checks.
@@ -95,8 +96,9 @@ struct RunReport {
   bool k_verified = false;
   bool t_verified = false;
 
-  // Per-stage wall clock. load_seconds covers CSV load / role assignment
-  // in-memory and stream reads when streaming.
+  // Per-stage wall clock. load_seconds covers materializing the input
+  // (file read, generation or source drain, role assignment) in memory
+  // and for sweeps, and the window reads when streaming.
   double load_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double verify_seconds = 0.0;
@@ -113,7 +115,7 @@ struct RunReport {
 
   std::string release_path;  // empty when no release CSV was written
 
-  std::vector<StreamingWindowSummary> windows;  // streaming only
+  std::vector<StreamingWindowSummary> windows;  // serialized when streaming
   std::vector<SweepOutcome> sweep;              // sweeps only
 
   // In-memory (non-sweep) runs keep the release here so programmatic

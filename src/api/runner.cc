@@ -57,12 +57,6 @@ Result<Dataset> DrainSource(RecordSource* source) {
   return out;
 }
 
-// Zero-copy accounting carried up into RunReport's "input" object.
-struct InputBytes {
-  size_t mapped = 0;
-  size_t copied = 0;
-};
-
 // Logical payload bytes of one materialized row (8 per numeric cell, 4
 // per dictionary code): the copy cost of turning columns into Records.
 size_t RowPayloadBytes(const Schema& schema) {
@@ -86,32 +80,28 @@ Status CheckTcmbRoles(const Schema& schema) {
   return Status::Ok();
 }
 
-// Materializes the job's input as an in-memory dataset with the spec's
-// roles applied. To avoid copying a caller-provided dataset whose roles
-// are already set (the common programmatic path), the result is a
-// pointer: either into the spec or into *storage. `bytes` (optional)
-// receives the input's map/copy accounting.
+// The load stage of in-memory and sweep jobs, traced as "load" and timed
+// as load_seconds: materializes the job's input as an in-memory dataset
+// with the spec's roles applied. To avoid copying a caller-provided
+// dataset whose roles are already set (the common programmatic path),
+// the result is a pointer: either into the spec or into *storage. .tcmb
+// inputs record their map/copy accounting in `report`.
 Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
                                           Dataset* storage,
-                                          InputBytes* bytes = nullptr) {
+                                          RunReport* report) {
+  WallTimer timer;
+  TraceSpan span("load");
   switch (spec.input.kind) {
     case InputKind::kCsvPath: {
       if (spec.input.format == InputFormat::kTcmb) {
         TCM_ASSIGN_OR_RETURN(ColumnTable table, ReadTcmb(spec.input.path));
-        if (bytes != nullptr) {
-          bytes->mapped = table.mapped_bytes();
-          bytes->copied = table.copied_bytes() +
-                          table.num_rows() * RowPayloadBytes(table.schema());
-        }
+        report->input_mapped_bytes = table.mapped_bytes();
+        report->input_copied_bytes =
+            table.copied_bytes() +
+            table.num_rows() * RowPayloadBytes(table.schema());
         *storage = table.ToDataset();
       } else {
         TCM_ASSIGN_OR_RETURN(*storage, ReadNumericCsv(spec.input.path));
-        if (bytes != nullptr) {
-          std::error_code ec;
-          const auto size =
-              std::filesystem::file_size(spec.input.path, ec);
-          bytes->copied = ec ? 0 : static_cast<size_t>(size);
-        }
       }
       break;
     }
@@ -121,7 +111,7 @@ Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
     case InputKind::kDataset:
       if (spec.roles.quasi_identifiers.empty() &&
           spec.roles.confidential.empty()) {
-        return spec.input.dataset;  // roles kept: no copy needed
+        return spec.input.dataset;  // roles kept: nothing to load
       }
       *storage = *spec.input.dataset;
       break;
@@ -139,73 +129,83 @@ Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
       spec.input.format == InputFormat::kTcmb) {
     TCM_RETURN_IF_ERROR(CheckTcmbRoles(storage->schema()));
   }
+  report->load_seconds = timer.ElapsedSeconds();
   return storage;
 }
 
-Status RunInMemoryJob(const JobSpec& spec, RunReport* report) {
-  PipelineSpec pipeline;
-  pipeline.algorithm = spec.algorithm.name;
-  pipeline.k = spec.algorithm.k;
-  pipeline.t = spec.algorithm.t;
-  pipeline.seed = spec.algorithm.seed;
-  pipeline.shard_size = spec.execution.shard_size;
-  pipeline.merge_strategy = spec.execution.merge_strategy;
-  pipeline.verify = spec.verify;
-  pipeline.output_path = spec.output.release_path;
+StreamingSpec EngineSpec(const JobSpec& spec) {
+  StreamingSpec engine;
+  engine.algorithm = spec.algorithm.name;
+  engine.k = spec.algorithm.k;
+  engine.t = spec.algorithm.t;
+  engine.seed = spec.algorithm.seed;
+  engine.shard_size = spec.execution.shard_size;
+  engine.max_resident_rows = spec.execution.max_resident_rows;
+  engine.merge_strategy = spec.execution.merge_strategy;
+  engine.overlap_io = spec.execution.overlap_io;
+  engine.verify = spec.verify;
+  engine.output_path = spec.output.release_path;
+  return engine;
+}
 
-  PipelineRunner runner(spec.execution.threads);
-  Result<PipelineReport> run = Status::Internal("unreachable");
-  if (spec.input.kind == InputKind::kCsvPath &&
-      spec.input.format == InputFormat::kCsv) {
-    pipeline.input_path = spec.input.path;
-    pipeline.quasi_identifiers = spec.roles.quasi_identifiers;
-    pipeline.confidential = spec.roles.confidential;
-    run = runner.Run(pipeline);
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(spec.input.path, ec);
-    report->input_copied_bytes = ec ? 0 : static_cast<size_t>(size);
-  } else {
-    Dataset storage;
-    InputBytes bytes;
-    TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                         MaterializeDataset(spec, &storage, &bytes));
-    report->input_mapped_bytes = bytes.mapped;
-    report->input_copied_bytes = bytes.copied;
-    run = runner.Run(*data, pipeline);
+// Copies the engine's report into the job report (all but load_seconds,
+// which each mode times its own way).
+void FillReport(const StreamingReport& run, RunReport* report) {
+  report->rows = run.total_rows;
+  report->clusters = 0;
+  for (const StreamingWindowSummary& window : run.windows) {
+    report->clusters += window.clusters;
   }
-  TCM_RETURN_IF_ERROR(run.status());
-  PipelineReport& pipeline_report = run.value();
-
-  const AnonymizationResult& result = pipeline_report.result;
-  report->rows = result.anonymized.NumRecords();
-  report->clusters = result.partition.NumClusters();
-  report->min_cluster_size = result.min_cluster_size;
-  report->max_cluster_size = result.max_cluster_size;
-  report->average_cluster_size = result.average_cluster_size;
-  report->max_cluster_emd = result.max_cluster_emd;
-  report->normalized_sse = result.normalized_sse;
-  report->threads = pipeline_report.threads;
-  report->num_shards = pipeline_report.num_shards;
-  report->final_merges = pipeline_report.final_merges;
-  report->k_verified = pipeline_report.k_verified;
-  report->t_verified = pipeline_report.t_verified;
-  report->load_seconds = pipeline_report.load_seconds;
-  report->anonymize_seconds = pipeline_report.anonymize_seconds;
-  report->verify_seconds = pipeline_report.verify_seconds;
-  report->write_seconds = pipeline_report.write_seconds;
+  report->min_cluster_size = run.min_cluster_size;
+  report->max_cluster_size = run.max_cluster_size;
+  // Partition::AverageClusterSize's formula, so one window matches the
+  // algorithm's own figure bit for bit.
+  report->average_cluster_size =
+      report->clusters == 0 ? 0.0
+                            : static_cast<double>(report->rows) /
+                                  static_cast<double>(report->clusters);
+  report->max_cluster_emd = run.max_cluster_emd;
+  report->normalized_sse = run.normalized_sse;
+  report->threads = run.threads;
+  report->num_shards = run.num_shards;
+  report->final_merges = run.final_merges;
+  report->num_windows = run.num_windows;
+  report->peak_resident_rows = run.peak_resident_rows;
+  report->k_verified = run.k_verified;
+  report->t_verified = run.t_verified;
+  report->anonymize_seconds = run.anonymize_seconds;
+  report->verify_seconds = run.verify_seconds;
+  report->write_seconds = run.write_seconds;
   report->stage_seconds = {
-      {"shard_seconds", pipeline_report.shard_seconds},
-      {"shard_anonymize_seconds", pipeline_report.shard_anonymize_seconds},
-      {"merge_seconds", pipeline_report.merge_seconds},
-      {"metrics_seconds", pipeline_report.metrics_seconds},
+      {"shard_seconds", run.shard_seconds},
+      {"shard_anonymize_seconds", run.shard_anonymize_seconds},
+      {"merge_seconds", run.merge_seconds},
+      {"metrics_seconds", run.metrics_seconds},
   };
-  report->merge_subtrees = pipeline_report.merge_subtrees;
-  report->subtree_merges = pipeline_report.subtree_merges;
-  report->tail_merges = pipeline_report.tail_merges;
-  report->candidate_checks = pipeline_report.candidate_checks;
-  report->pruned_checks = pipeline_report.pruned_checks;
-  report->exact_checks = pipeline_report.exact_checks;
-  report->release = std::move(pipeline_report.result.anonymized);
+  report->merge_subtrees = run.merge_subtrees;
+  report->subtree_merges = run.subtree_merges;
+  report->tail_merges = run.tail_merges;
+  report->candidate_checks = run.candidate_checks;
+  report->pruned_checks = run.pruned_checks;
+  report->exact_checks = run.exact_checks;
+  report->overlapped_reads = run.overlapped_reads;
+  report->windows = run.windows;
+}
+
+// The whole input as one window; the release stays in the report.
+Status RunInMemoryJob(const JobSpec& spec, RunReport* report) {
+  Dataset storage;
+  TCM_ASSIGN_OR_RETURN(const Dataset* data,
+                       MaterializeDataset(spec, &storage, report));
+  StreamingPipelineRunner runner(spec.execution.threads);
+  TCM_ASSIGN_OR_RETURN(
+      StreamingReport run,
+      runner.Run(*data, EngineSpec(spec),
+                 [report](Dataset&& release, const StreamingWindowSummary&) {
+                   report->release = std::move(release);
+                   return Status::Ok();
+                 }));
+  FillReport(run, report);
   return Status::Ok();
 }
 
@@ -261,77 +261,22 @@ Status RunStreamingJob(const JobSpec& spec, RunReport* report) {
           "streaming execution cannot read an in-memory dataset");
   }
 
-  StreamingSpec streaming;
-  streaming.algorithm = spec.algorithm.name;
-  streaming.k = spec.algorithm.k;
-  streaming.t = spec.algorithm.t;
-  streaming.seed = spec.algorithm.seed;
-  streaming.shard_size = spec.execution.shard_size;
-  streaming.max_resident_rows = spec.execution.max_resident_rows;
-  streaming.merge_strategy = spec.execution.merge_strategy;
-  streaming.overlap_io = spec.execution.overlap_io;
-  streaming.verify = spec.verify;
-  streaming.output_path = spec.output.release_path;
-
   StreamingPipelineRunner runner(spec.execution.threads);
-  TCM_ASSIGN_OR_RETURN(StreamingReport streaming_report,
-                       runner.Run(source, streaming));
-
-  report->rows = streaming_report.total_rows;
-  size_t clusters = 0;
-  for (const StreamingWindowSummary& window : streaming_report.windows) {
-    clusters += window.clusters;
-  }
-  report->clusters = clusters;
-  report->min_cluster_size = streaming_report.min_cluster_size;
-  report->max_cluster_size = streaming_report.max_cluster_size;
-  report->max_cluster_emd = streaming_report.max_cluster_emd;
-  report->normalized_sse = streaming_report.normalized_sse;
-  report->threads = streaming_report.threads;
-  report->num_shards = streaming_report.num_shards;
-  report->final_merges = streaming_report.final_merges;
-  report->num_windows = streaming_report.num_windows;
-  report->peak_resident_rows = streaming_report.peak_resident_rows;
-  report->k_verified = streaming_report.k_verified;
-  report->t_verified = streaming_report.t_verified;
-  report->load_seconds = streaming_report.read_seconds;
-  report->anonymize_seconds = streaming_report.anonymize_seconds;
-  report->verify_seconds = streaming_report.verify_seconds;
-  report->write_seconds = streaming_report.write_seconds;
-  report->stage_seconds = {
-      {"shard_seconds", streaming_report.shard_seconds},
-      {"shard_anonymize_seconds", streaming_report.shard_anonymize_seconds},
-      {"merge_seconds", streaming_report.merge_seconds},
-      {"metrics_seconds", streaming_report.metrics_seconds},
-  };
-  report->merge_subtrees = streaming_report.merge_subtrees;
-  report->subtree_merges = streaming_report.subtree_merges;
-  report->tail_merges = streaming_report.tail_merges;
-  report->candidate_checks = streaming_report.candidate_checks;
-  report->pruned_checks = streaming_report.pruned_checks;
-  report->exact_checks = streaming_report.exact_checks;
-  report->overlapped_reads = streaming_report.overlapped_reads;
-  report->windows = std::move(streaming_report.windows);
+  TCM_ASSIGN_OR_RETURN(StreamingReport run,
+                       runner.Run(source, EngineSpec(spec)));
+  FillReport(run, report);
+  report->load_seconds = run.read_seconds;
   if (columnar != nullptr) {
     report->input_mapped_bytes = columnar->mapped_bytes();
     report->input_copied_bytes = columnar->copied_bytes();
-  } else if (reader != nullptr) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(spec.input.path, ec);
-    report->input_copied_bytes = ec ? 0 : static_cast<size_t>(size);
   }
   return Status::Ok();
 }
 
 Status RunSweepJob(const JobSpec& spec, RunReport* report) {
-  WallTimer timer;
   Dataset storage;
-  InputBytes bytes;
   TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                       MaterializeDataset(spec, &storage, &bytes));
-  report->input_mapped_bytes = bytes.mapped;
-  report->input_copied_bytes = bytes.copied;
-  report->load_seconds = timer.ElapsedSeconds();
+                       MaterializeDataset(spec, &storage, report));
   report->rows = data->NumRecords();
 
   const JobSweep& sweep = *spec.sweep;
@@ -374,7 +319,7 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
 
   ThreadPool pool(spec.execution.threads);
   report->threads = pool.num_threads();
-  timer.Restart();
+  WallTimer timer;
   std::vector<BatchOutcome> outcomes = RunBatch(jobs, &pool);
   // Wall clock of the fan-out; each cell's own time is in its outcome
   // (their sum exceeds this when cells run concurrently).
@@ -445,6 +390,13 @@ Result<RunReport> RunJob(const JobSpec& spec) {
     }
   }
   report.total_seconds = total.ElapsedSeconds();
+  // A CSV input maps nothing and copies the whole file, in every mode.
+  if (spec.input.kind == InputKind::kCsvPath &&
+      spec.input.format == InputFormat::kCsv) {
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(spec.input.path, ec);
+    report.input_copied_bytes = ec ? 0 : static_cast<size_t>(size);
+  }
 
   if (!spec.output.report_path.empty()) {
     TCM_RETURN_IF_ERROR(

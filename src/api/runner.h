@@ -12,16 +12,17 @@ namespace tcm {
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
-// kUnknownAlgorithm), lowers it onto PipelineRunner,
-// StreamingPipelineRunner or RunBatch, and — when the spec names a
-// report_path — writes the JSON report before returning. Failures carry
-// the structured taxonomy: kIoError for unreadable inputs/sinks,
-// kPrivacyViolation when a verified release fails re-verification.
+// kUnknownAlgorithm), lowers it onto StreamingPipelineRunner (an
+// in-memory job materializes its input and runs it as one window) or
+// RunBatch (sweeps), and — when the spec names a report_path — writes
+// the JSON report before returning. Failures carry the structured
+// taxonomy: kIoError for unreadable inputs/sinks, kPrivacyViolation
+// when a verified release fails re-verification.
 //
-// Determinism: a JobSpec maps onto the engine exactly the way the
-// pre-facade spec structs did, so release bytes are unchanged for any
-// thread count and for streamed-vs-in-memory single-window runs (pinned
-// by tests/golden/).
+// Determinism: release bytes are the same for any thread count, and a
+// streamed job whose input fits one window releases the same bytes and
+// reports the same numbers as the in-memory job (pinned by
+// tests/golden/).
 Result<RunReport> RunJob(const JobSpec& spec);
 
 // Sugar for in-process callers: runs `spec` against a live dataset or

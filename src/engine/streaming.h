@@ -14,14 +14,15 @@
 
 namespace tcm {
 
-// Out-of-core execution of the anonymization pipeline: consume a
-// RecordSource window by window under a max_resident_rows budget, run
-// every window through the existing shard/thread-pool machinery
-// (ShardedAnonymize), then the same verify -> metrics -> write tail the
-// in-memory PipelineRunner runs. Datasets that never fit in memory
+// The one executor of the anonymization pipeline: consume a RecordSource
+// window by window under a max_resident_rows budget, run every window
+// through the shard/thread-pool machinery (ShardedAnonymize), then the
+// verify -> metrics -> write tail. Datasets that never fit in memory
 // stream through in bounded space; each released window independently
 // satisfies k-anonymity and t-closeness (so their concatenation is
 // k-anonymous, and t-close per window against the window distribution).
+// An in-memory job is the degenerate case: its already-materialized
+// dataset runs as window 0, with no copy and no read-ahead.
 //
 // Memory model. The runner holds at most one window plus a k-row
 // read-ahead at a time:
@@ -37,10 +38,10 @@ namespace tcm {
 // uses spec.seed itself), and ShardedAnonymize is byte-identical for any
 // thread count — so streamed releases are too. When the whole stream
 // fits in one window (max_resident_rows >= rows + k), the release bytes
-// equal the in-memory PipelineRunner's for the same spec, which the
-// tests pin.
+// equal those of the in-memory Run(const Dataset&) overload for the same
+// spec, which the tests pin.
 struct StreamingSpec {
-  // Anonymize stage (same meaning as PipelineSpec).
+  // Anonymize stage: registry algorithm name and its parameters.
   std::string algorithm = "tclose_first";
   size_t k = 5;
   double t = 0.1;
@@ -50,7 +51,7 @@ struct StreamingSpec {
   size_t shard_size = 4096;
 
   // Resident input-row budget; must be at least k + max(k, 2)
-  // (doubled when overlap_io halves the window).
+  // (doubled when overlap_io halves the window). Streamed runs only.
   size_t max_resident_rows = 100000;
 
   // Engine for each window's global repair pass (see
@@ -63,7 +64,7 @@ struct StreamingSpec {
   // window target is halved so current window + prefetch + read-ahead
   // still fit the max_resident_rows budget — so releases differ from the
   // non-overlapped run of the same spec (different window boundaries),
-  // but stay deterministic for any thread count.
+  // but stay deterministic for any thread count. Streamed runs only.
   bool overlap_io = false;
 
   // Re-check k-anonymity and t-closeness of every released window with
@@ -95,7 +96,8 @@ struct StreamingWindowSummary {
 struct StreamingReport {
   size_t total_rows = 0;
   size_t num_windows = 0;
-  // Largest number of input rows resident at once (window + read-ahead).
+  // Largest number of input rows resident at once (window + read-ahead;
+  // the whole dataset for an in-memory run).
   size_t peak_resident_rows = 0;
   size_t threads = 1;
   size_t num_shards = 0;     // total across windows
@@ -105,7 +107,9 @@ struct StreamingReport {
   size_t min_cluster_size = 0;
   size_t max_cluster_size = 0;
   double max_cluster_emd = 0.0;  // max over windows
-  double normalized_sse = 0.0;   // row-weighted mean over windows
+  // Row-weighted mean over windows; exactly the window's own value when
+  // there is one window.
+  double normalized_sse = 0.0;
   double read_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double verify_seconds = 0.0;
@@ -136,9 +140,10 @@ struct StreamingReport {
 class StreamingPipelineRunner {
  public:
   // Called with every released window (after verification) in stream
-  // order: a custom sink for tests or non-CSV destinations.
+  // order: a custom sink for tests or non-CSV destinations. The release
+  // is handed over by move, so a sink may keep it without a copy.
   using WindowSink =
-      std::function<Status(const Dataset& release,
+      std::function<Status(Dataset&& release,
                            const StreamingWindowSummary& summary)>;
 
   explicit StreamingPipelineRunner(size_t threads = 1) : pool_(threads) {}
@@ -151,7 +156,24 @@ class StreamingPipelineRunner {
   Result<StreamingReport> Run(RecordSource* source, const StreamingSpec& spec,
                               const WindowSink& sink = nullptr);
 
+  // Runs an already-materialized dataset (roles assigned) as window 0:
+  // no copy, no read-ahead, and max_resident_rows / overlap_io do not
+  // apply. Errors carry no "window 0: " prefix.
+  Result<StreamingReport> Run(const Dataset& data, const StreamingSpec& spec,
+                              const WindowSink& sink = nullptr);
+
  private:
+  struct RunState;
+
+  // Anonymizes, verifies, writes and sinks one window, then folds its
+  // summary into run->report. `context` prefixes anonymize and verify
+  // errors.
+  Status RunWindow(const Dataset& window, const std::string& context,
+                   RunState* run);
+
+  // Closes the release writer and finalizes the aggregate report.
+  Result<StreamingReport> Finish(RunState* run);
+
   ThreadPool pool_;
 };
 

@@ -5,10 +5,12 @@
 // 4 threads, streamed single- and multi-window) matching the committed
 // bytes under tests/golden/ exactly.
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -503,6 +505,131 @@ TEST(RunJobTest, TimingsAreCoherent) {
   EXPECT_GT(report->total_seconds, 0.0);
   EXPECT_GE(report->total_seconds, report->anonymize_seconds);
   EXPECT_GT(report->anonymize_seconds, 0.0);
+}
+
+// A record source whose first read takes at least kDelay: the least
+// time an in-memory job spends draining it.
+class SlowSource : public RecordSource {
+ public:
+  static constexpr double kDelay = 0.02;
+
+  explicit SlowSource(const Dataset* data) : inner_(data) {}
+  const Schema& schema() const override { return inner_.schema(); }
+  Result<size_t> ReadInto(Dataset* out, size_t max_rows) override {
+    if (!slept_) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(kDelay));
+      slept_ = true;
+    }
+    return inner_.ReadInto(out, max_rows);
+  }
+
+ private:
+  DatasetSource inner_;
+  bool slept_ = false;
+};
+
+// An in-memory job's input is materialized inside the timed load stage,
+// whatever its kind, so the stages account for the time it takes.
+TEST(RunJobTest, InMemoryLoadStageIsTimed) {
+  const Dataset data = MakeUniformDataset(2000, 2, 19);
+  const std::string tcmb_path = TempPath("api_load_timed.tcmb");
+  ASSERT_TRUE(WriteTcmb(ColumnTable::FromDataset(data), tcmb_path).ok());
+  JobSpec tcmb;
+  tcmb.input.path = tcmb_path;
+  tcmb.input.format = InputFormat::kTcmb;
+  tcmb.roles.quasi_identifiers = {"QI0", "QI1"};
+  tcmb.roles.confidential = "CONF";
+
+  JobSpec synthetic;
+  synthetic.input.kind = InputKind::kSynthetic;
+  synthetic.input.rows = 2000;
+  synthetic.input.seed = 19;
+
+  SlowSource slow(&data);
+  JobSpec drained;
+  drained.input.kind = InputKind::kRecordSource;
+  drained.input.source = &slow;
+
+  for (const JobSpec& spec : {tcmb, synthetic, drained}) {
+    const char* kind = InputKindName(spec.input.kind);
+    auto report = RunJob(spec);
+    ASSERT_TRUE(report.ok()) << kind << ": " << report.status().ToString();
+    EXPECT_EQ(report->rows, 2000u) << kind;
+    EXPECT_GT(report->load_seconds, 0.0) << kind;
+    EXPECT_LE(report->load_seconds + report->anonymize_seconds +
+                  report->verify_seconds + report->write_seconds,
+              report->total_seconds)
+        << kind;
+    if (spec.input.kind == InputKind::kRecordSource) {
+      // The drain happened inside the load stage, not before it.
+      EXPECT_GE(report->load_seconds, SlowSource::kDelay);
+    }
+  }
+  std::remove(tcmb_path.c_str());
+}
+
+// Differential: a job whose whole input fits one window reports the same
+// release and the same numbers in memory and streamed.
+TEST(RunJobTest, OneWindowReportsMatchAcrossModes) {
+  const std::string input_path = TempPath("api_one_window_in.csv");
+  ASSERT_TRUE(WriteCsv(MakeUniformDataset(1500, 3, 2016), input_path).ok());
+  for (size_t threads : {1u, 4u}) {
+    JobSpec spec;
+    spec.input.path = input_path;
+    spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+    spec.roles.confidential = "CONF";
+    spec.algorithm.k = 4;
+    spec.algorithm.t = 0.05;  // strict enough for repair merges
+    spec.algorithm.seed = 7;
+    spec.execution.threads = threads;
+    spec.execution.shard_size = 256;
+
+    const std::string suffix = std::to_string(threads) + ".csv";
+    JobSpec mem_spec = spec;
+    mem_spec.execution.mode = ExecutionMode::kInMemory;
+    mem_spec.output.release_path = TempPath("api_one_window_mem" + suffix);
+    JobSpec str_spec = spec;
+    str_spec.execution.mode = ExecutionMode::kStreaming;
+    str_spec.execution.max_resident_rows = 1500 + 4;  // rows + k
+    str_spec.output.release_path = TempPath("api_one_window_str" + suffix);
+
+    auto mem = RunJob(mem_spec);
+    ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+    auto str = RunJob(str_spec);
+    ASSERT_TRUE(str.ok()) << str.status().ToString();
+    ASSERT_EQ(str->num_windows, 1u);
+    EXPECT_GT(str->final_merges, 0u);
+
+    EXPECT_EQ(ReadFileBytes(mem_spec.output.release_path),
+              ReadFileBytes(str_spec.output.release_path))
+        << "at " << threads << " thread(s)";
+    EXPECT_EQ(mem->rows, str->rows);
+    EXPECT_EQ(mem->clusters, str->clusters);
+    EXPECT_EQ(mem->min_cluster_size, str->min_cluster_size);
+    EXPECT_EQ(mem->max_cluster_size, str->max_cluster_size);
+    EXPECT_EQ(mem->max_cluster_emd, str->max_cluster_emd);
+    EXPECT_EQ(mem->num_shards, str->num_shards);
+    EXPECT_EQ(mem->final_merges, str->final_merges);
+    EXPECT_EQ(mem->merge_subtrees, str->merge_subtrees);
+    EXPECT_EQ(mem->subtree_merges, str->subtree_merges);
+    EXPECT_EQ(mem->tail_merges, str->tail_merges);
+    EXPECT_EQ(mem->candidate_checks, str->candidate_checks);
+    EXPECT_EQ(mem->pruned_checks, str->pruned_checks);
+    EXPECT_EQ(mem->exact_checks, str->exact_checks);
+    // Bit for bit: one window reports its own value, not (sse * n) / n.
+    EXPECT_EQ(mem->normalized_sse, str->normalized_sse);
+    EXPECT_EQ(str->normalized_sse, str->windows.front().normalized_sse);
+
+    // The in-memory report keeps its own JSON shape.
+    JsonValue json = mem->ToJson();
+    EXPECT_EQ(json.Find("windows"), nullptr);
+    EXPECT_EQ(json.Find("execution")->Find("windows"), nullptr);
+    EXPECT_EQ(json.Find("execution")->Find("peak_resident_rows"), nullptr);
+    EXPECT_NE(json.Find("cluster_size")->Find("average"), nullptr);
+    std::remove(mem_spec.output.release_path.c_str());
+    std::remove(str_spec.output.release_path.c_str());
+  }
+  std::remove(input_path.c_str());
 }
 
 TEST(RunJobTest, RecordSourceInputDrainsInMemory) {

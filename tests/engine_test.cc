@@ -16,12 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
 #include "data/generator.h"
 #include "engine/batch.h"
-#include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
+#include "engine/streaming.h"
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
 #include "privacy/kanonymity.h"
@@ -431,16 +432,16 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
   // Strip the roles: the pipeline must reassign them by column name.
   ASSERT_TRUE(WriteCsv(data, input).ok());
 
-  PipelineSpec spec;
-  spec.input_path = input;
-  spec.output_path = output;
-  spec.quasi_identifiers = {"QI1", "QI2"};
-  spec.confidential = "CONF";
-  spec.k = 4;
-  spec.t = 0.2;
-  spec.shard_size = 150;
-  PipelineRunner runner(2);
-  auto report = runner.Run(spec);
+  JobSpec spec;
+  spec.input.path = input;
+  spec.output.release_path = output;
+  spec.roles.quasi_identifiers = {"QI1", "QI2"};
+  spec.roles.confidential = "CONF";
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.2;
+  spec.execution.threads = 2;
+  spec.execution.shard_size = 150;
+  auto report = RunJob(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
@@ -457,11 +458,10 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
 
 TEST(PipelineTest, UnknownColumnFailsWithAvailableColumns) {
   Dataset data = MakeUniformDataset(100, 2, 87);
-  PipelineSpec spec;
-  spec.quasi_identifiers = {"QI1", "nope"};
-  spec.confidential = "CONF";
-  PipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
+  JobSpec spec;
+  spec.roles.quasi_identifiers = {"QI1", "nope"};
+  spec.roles.confidential = "CONF";
+  auto report = RunJob(data, spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("'nope'"), std::string::npos);
   EXPECT_NE(report.status().message().find("available columns"),
@@ -470,11 +470,11 @@ TEST(PipelineTest, UnknownColumnFailsWithAvailableColumns) {
 
 TEST(PipelineTest, InMemoryRunKeepsExistingRoles) {
   Dataset data = MakeMcdDataset();  // roles already assigned
-  PipelineSpec spec;
+  StreamingSpec spec;
   spec.k = 4;
   spec.t = 0.15;
   spec.shard_size = 0;
-  PipelineRunner runner(1);
+  StreamingPipelineRunner runner(1);
   auto report = runner.Run(data, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);

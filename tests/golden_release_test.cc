@@ -2,9 +2,9 @@
 // anonymization pipeline are pinned for a fixed seed/dataset/flag
 // matrix, so a future refactor cannot silently change what gets
 // released. The matrix mirrors tcm_anonymize invocations (the tool is a
-// thin flag parser over PipelineSpec / StreamingSpec, and the CSV bytes
-// it writes are exactly WriteCsvString of the release — additionally
-// pinned binary-level by tools/anonymize_golden.cmake).
+// thin flag parser over a JobSpec that lowers onto StreamingSpec, and
+// the CSV bytes it writes are exactly WriteCsvString of the release —
+// additionally pinned binary-level by tools/anonymize_golden.cmake).
 //
 // Regenerating after an INTENTIONAL release-changing commit:
 //   TCM_REGENERATE_GOLDEN=1 ./build/tests/golden_release_test
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "data/csv_stream.h"
 #include "data/generator.h"
 #include "data/record_source.h"
-#include "engine/pipeline.h"
 #include "engine/streaming.h"
 
 #ifndef TCM_GOLDEN_DIR
@@ -65,14 +65,30 @@ void CompareWithGolden(const std::string& name, const std::string& bytes) {
 
 Dataset GoldenInput() { return MakeMcdDataset({.num_records = 120, .seed = 7}); }
 
+// Runs `data` in memory (one window) and returns the release's CSV bytes.
+Result<std::string> InMemoryRelease(StreamingPipelineRunner* runner,
+                                    const Dataset& data,
+                                    const StreamingSpec& spec) {
+  Dataset release;
+  TCM_RETURN_IF_ERROR(
+      runner
+          ->Run(data, spec,
+                [&release](Dataset&& window, const StreamingWindowSummary&) {
+                  release = std::move(window);
+                  return Status::Ok();
+                })
+          .status());
+  return WriteCsvString(release);
+}
+
 // The generator + CSV writer themselves are part of the pinned surface.
 TEST(GoldenReleaseTest, InputDatasetBytesArePinned) {
   CompareWithGolden("input_mcd_120.csv", WriteCsvString(GoldenInput()));
 }
 
-// Flag matrix over the in-memory pipeline: every case runs sharded on a
-// 2-thread pool (thread count provably cannot change the bytes; shard
-// size 64 forces real fan-out + the global merge pass).
+// Flag matrix over the in-memory (single-window) run: every case runs
+// sharded on a 2-thread pool (thread count provably cannot change the
+// bytes; shard size 64 forces real fan-out + the global merge pass).
 TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
   struct Case {
     const char* algorithm;
@@ -85,22 +101,22 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
       {"mondrian", 4, 0.3},     {"sabre", 4, 0.3},
   };
   Dataset data = GoldenInput();
-  PipelineRunner runner(2);
+  StreamingPipelineRunner runner(2);
   for (const Case& c : cases) {
-    PipelineSpec spec;
+    StreamingSpec spec;
     spec.algorithm = c.algorithm;
     spec.k = c.k;
     spec.t = c.t;
     spec.seed = 9;
     spec.shard_size = 64;
     spec.verify = true;
-    auto report = runner.Run(data, spec);
-    ASSERT_TRUE(report.ok()) << c.algorithm << ": "
-                             << report.status().ToString();
+    auto release = InMemoryRelease(&runner, data, spec);
+    ASSERT_TRUE(release.ok()) << c.algorithm << ": "
+                              << release.status().ToString();
     char name[128];
     std::snprintf(name, sizeof(name), "release_%s_k%zu_t%02d.csv",
                   c.algorithm, c.k, static_cast<int>(c.t * 100));
-    CompareWithGolden(name, WriteCsvString(report->result.anonymized));
+    CompareWithGolden(name, *release);
   }
 }
 
@@ -109,19 +125,6 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
 // committed golden bytes.
 TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
   Dataset data = GoldenInput();
-  PipelineSpec mem_spec;
-  mem_spec.algorithm = "tclose_first";
-  mem_spec.k = 5;
-  mem_spec.t = 0.3;
-  mem_spec.seed = 9;
-  mem_spec.shard_size = 64;
-  PipelineRunner mem_runner(2);
-  auto mem_report = mem_runner.Run(data, mem_spec);
-  ASSERT_TRUE(mem_report.ok());
-  const std::string mem_bytes =
-      WriteCsvString(mem_report->result.anonymized);
-
-  DatasetSource source(&data);
   StreamingSpec spec;
   spec.algorithm = "tclose_first";
   spec.k = 5;
@@ -129,9 +132,13 @@ TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
   spec.seed = 9;
   spec.shard_size = 64;
   spec.max_resident_rows = 4096;  // whole stream in one window
+  StreamingPipelineRunner runner(2);
+  auto mem_bytes = InMemoryRelease(&runner, data, spec);
+  ASSERT_TRUE(mem_bytes.ok()) << mem_bytes.status().ToString();
+
+  DatasetSource source(&data);
   std::string streamed_bytes;
   AppendCsvHeader(data.schema(), &streamed_bytes);
-  StreamingPipelineRunner runner(2);
   auto report = runner.Run(
       &source, spec,
       [&](const Dataset& release, const StreamingWindowSummary&) {
@@ -142,7 +149,7 @@ TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
       });
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->num_windows, 1u);
-  EXPECT_EQ(streamed_bytes, mem_bytes);
+  EXPECT_EQ(streamed_bytes, *mem_bytes);
   CompareWithGolden("release_tclose_first_k5_t30.csv", streamed_bytes);
 }
 
@@ -177,17 +184,16 @@ TEST(GoldenReleaseTest, StreamedMultiWindowReleaseIsPinned) {
 // the pinned bytes.
 TEST(GoldenReleaseTest, CategoricalReleaseBytesArePinned) {
   Dataset data = MakeAdultLike({.num_records = 90, .seed = 3});
-  PipelineSpec spec;
+  StreamingSpec spec;
   spec.algorithm = "merge";
   spec.k = 3;
   spec.t = 0.3;
   spec.seed = 9;
   spec.shard_size = 0;
-  PipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  CompareWithGolden("release_adult_merge_k3_t30.csv",
-                    WriteCsvString(report->result.anonymized));
+  StreamingPipelineRunner runner(1);
+  auto release = InMemoryRelease(&runner, data, spec);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  CompareWithGolden("release_adult_merge_k3_t30.csv", *release);
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "data/generator.h"
 #include "distance/emd.h"
@@ -17,7 +15,6 @@
 #include "distance/qi_space.h"
 #include "microagg/mdav.h"
 #include "tclose/anonymizer.h"
-#include "tclose/report_io.h"
 
 namespace tcm {
 namespace {
@@ -128,52 +125,6 @@ TEST(MetamorphicTest, DuplicatingEveryRecordHalvesRequiredT) {
     EXPECT_LE(large, 2 * small);
     EXPECT_GE(large, small);
   }
-}
-
-// ----------------------------------------------------------- Serialization
-
-TEST(ReportIoTest, JsonContainsEveryField) {
-  Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  auto result = Anonymize(data, options);
-  ASSERT_TRUE(result.ok());
-  std::string json = ReportToJson(*result, options);
-  for (const char* key :
-       {"\"algorithm\"", "\"k\":5", "\"t\":0.1", "\"clusters\"",
-        "\"min_cluster_size\"", "\"max_cluster_emd\"", "\"normalized_sse\"",
-        "\"cluster_size_histogram\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  // Balanced braces (cheap well-formedness check).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(ReportIoTest, PartitionTsvRoundTrip) {
-  Dataset data = MakeUniformDataset(120, 2, 103);
-  QiSpace space(data);
-  auto partition = Mdav(space, 7);
-  ASSERT_TRUE(partition.ok());
-  std::string tsv = PartitionToTsv(*partition);
-  auto parsed = PartitionFromTsv(tsv, 120);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->clusters, partition->clusters);
-}
-
-TEST(ReportIoTest, PartitionTsvRejectsGarbage) {
-  EXPECT_FALSE(PartitionFromTsv("not\tnumbers\n", 2).ok());
-  EXPECT_FALSE(PartitionFromTsv("0\n", 1).ok());          // one field
-  EXPECT_FALSE(PartitionFromTsv("0\t0\n0\t0\n", 1).ok()); // double cover
-  EXPECT_FALSE(PartitionFromTsv("0\t0\n", 2).ok());       // missing record
-  EXPECT_TRUE(PartitionFromTsv("0\t0\n0\t1\n", 2).ok());
-}
-
-TEST(ReportIoTest, EmptyLinesTolerated) {
-  auto parsed = PartitionFromTsv("0\t0\n\n0\t1\n  \n", 2);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->NumClusters(), 1u);
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // its implementations, the streaming CSV reader/writer, and
 // StreamingPipelineRunner. The load-bearing properties: (1) streamed
 // and in-memory paths agree — a single-window streamed release is
-// byte-identical to the in-memory PipelineRunner release at any thread
-// count; (2) resident input rows never exceed the max_resident_rows
+// byte-identical to the in-memory job's release at any thread count; (2) resident input rows never exceed the max_resident_rows
 // budget; (3) every released window independently re-verifies
 // k-anonymous and t-close.
 
@@ -15,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
@@ -216,8 +216,8 @@ StreamingSpec BaseSpec() {
 }
 
 // The acceptance anchor: when the budget covers the whole stream, the
-// streamed release bytes equal the in-memory PipelineRunner's — checked
-// at two thread counts.
+// streamed release bytes equal the in-memory job's — checked at two
+// thread counts.
 TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
   Dataset data = MakeUniformDataset(1500, 3, 2016);
   const std::string input_path = TempPath("stream_identity_in.csv");
@@ -226,18 +226,19 @@ TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
   for (size_t threads : {1u, 4u}) {
     const std::string suffix = std::to_string(threads) + ".csv";
     const std::string mem_path = TempPath("stream_identity_mem" + suffix);
-    PipelineSpec mem_spec;
-    mem_spec.input_path = input_path;
-    mem_spec.output_path = mem_path;
-    mem_spec.quasi_identifiers = {"QI0", "QI1", "QI2"};
-    mem_spec.confidential = "CONF";
-    mem_spec.algorithm = "tclose_first";
-    mem_spec.k = 4;
-    mem_spec.t = 0.25;
-    mem_spec.seed = 7;
-    mem_spec.shard_size = 256;
-    PipelineRunner mem_runner(threads);
-    ASSERT_TRUE(mem_runner.Run(mem_spec).ok());
+    JobSpec mem_spec;
+    mem_spec.input.path = input_path;
+    mem_spec.output.release_path = mem_path;
+    mem_spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+    mem_spec.roles.confidential = "CONF";
+    mem_spec.algorithm.name = "tclose_first";
+    mem_spec.algorithm.k = 4;
+    mem_spec.algorithm.t = 0.25;
+    mem_spec.algorithm.seed = 7;
+    mem_spec.execution.mode = ExecutionMode::kInMemory;
+    mem_spec.execution.threads = threads;
+    mem_spec.execution.shard_size = 256;
+    ASSERT_TRUE(RunJob(mem_spec).ok());
 
     const std::string str_path = TempPath("stream_identity_str" + suffix);
     auto reader = StreamingCsvReader::OpenNumeric(input_path);
