@@ -625,13 +625,17 @@ Status JobSpec::Validate() const {
           "roles (their schemas cannot be rewritten mid-stream); leave "
           "the roles section empty");
     }
+    // A window of at least max(k, 2) rows plus a k-row read-ahead; with
+    // overlap_io a second window is resident while it is prefetched.
+    const size_t windows = execution.overlap_io ? 2 : 1;
     const size_t floor =
-        algorithm.k + std::max<size_t>(algorithm.k, 2);
+        algorithm.k + windows * std::max<size_t>(algorithm.k, 2);
     if (execution.max_resident_rows < floor) {
       return SpecError(
           "execution.max_resident_rows (" +
           std::to_string(execution.max_resident_rows) +
-          ") too small: need at least k + max(k, 2) = " +
+          ") too small: need at least k + " +
+          (execution.overlap_io ? "2 * " : "") + "max(k, 2) = " +
           std::to_string(floor) + " rows for k = " +
           std::to_string(algorithm.k));
     }

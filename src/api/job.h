@@ -18,10 +18,10 @@ class RecordSource;
 
 // ---------------------------------------------------------------------------
 // JobSpec: the one versioned description of an anonymization job, the
-// public API boundary of this library. It subsumes the engine's entry
-// points — StreamingSpec (in-memory jobs run as one window, streamed
-// jobs window by window) and RunBatch (parameter sweeps) — which remain
-// thin internals the facade lowers onto (api/runner.h). A JobSpec round-trips through JSON
+// public API boundary of this library. RunJob (api/runner.h) executes it
+// directly: in-memory jobs run as one window, streamed jobs window by
+// window, and sweeps fan their cells out over the job's thread pool. A
+// JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
 // config-driven deployments, services and the CLI all speak the same
 // schema. See README.md ("API") for the documented job.json layout.
@@ -39,9 +39,9 @@ enum class InputKind { kCsvPath, kSynthetic, kDataset, kRecordSource };
 // byte-identical releases to the CSV it was converted from.
 enum class InputFormat { kCsv, kTcmb };
 
-// How the job executes; both run on StreamingPipelineRunner. In memory:
-// the whole input is materialized and runs as a single window. Streaming:
-// window by window under a bounded resident-row budget.
+// How the job executes; both run through RunJob's one window loop. In
+// memory: the whole input is materialized and runs as a single window.
+// Streaming: window by window under a bounded resident-row budget.
 enum class ExecutionMode { kInMemory, kStreaming };
 
 const char* InputKindName(InputKind kind);
@@ -95,7 +95,9 @@ struct JobExecution {
   ExecutionMode mode = ExecutionMode::kInMemory;
   size_t threads = 1;        // 0 = one per hardware thread
   size_t shard_size = 4096;  // rows per shard; 0 disables sharding
-  // Streaming only: resident input-row budget (see engine/streaming.h).
+  // Streaming only: resident input-row budget. A window is filled to
+  // max_resident_rows - k rows and k more are read ahead, so the budget
+  // must be at least k + max(k, 2) (k + 2 * max(k, 2) with overlap_io).
   size_t max_resident_rows = 200000;
   // Engine for the global t-closeness repair pass: "sequential" is the
   // byte-stable legacy loop, "hierarchical" repairs deterministic
@@ -104,8 +106,10 @@ struct JobExecution {
   // ShardedAnonymizeOptions::merge_strategy.
   MergeStrategy merge_strategy = MergeStrategy::kSequential;
   // Streaming only: overlap the next window's read/parse with the
-  // current window's processing (see StreamingSpec::overlap_io; halves
-  // the window target to stay inside max_resident_rows).
+  // current window's processing. Halves the window target to stay inside
+  // max_resident_rows, so window boundaries (and release bytes) differ
+  // from the non-overlapped run; still deterministic for any thread
+  // count.
   bool overlap_io = false;
 };
 

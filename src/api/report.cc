@@ -91,7 +91,7 @@ JsonValue RunReport::ToJson() const {
 
   if (mode == ExecutionMode::kStreaming) {
     JsonValue windows_json = JsonValue::MakeArray();
-    for (const StreamingWindowSummary& window : windows) {
+    for (const WindowSummary& window : windows) {
       JsonValue w = JsonValue::MakeObject();
       w.Set("rows", window.rows);
       w.Set("clusters", window.clusters);

@@ -11,14 +11,32 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "engine/streaming.h"
+#include "tclose/merge.h"
 
 namespace tcm {
 
-// Outcome of one sweep cell (mirrors engine/batch.h's BatchOutcome with
-// the cell's coordinates attached). error_code/error are empty on
-// success; on failure error_code is the StatusCodeName of the cell's
-// status and the measurement fields stay zero.
+// Per-window measurements of a non-sweep job, in window order (an
+// in-memory job is one window).
+struct WindowSummary {
+  size_t rows = 0;
+  size_t clusters = 0;
+  size_t num_shards = 1;
+  // The shard plan the window actually ran with (report-only — recorded
+  // so operators can see the fan-out per window; no adaptivity yet).
+  size_t shard_size = 0;
+  size_t threads = 1;
+  size_t final_merges = 0;
+  size_t min_cluster_size = 0;
+  size_t max_cluster_size = 0;
+  double max_cluster_emd = 0.0;
+  double normalized_sse = 0.0;
+  double anonymize_seconds = 0.0;
+};
+
+// Outcome of one sweep cell: its coordinates plus RunAlgorithm's summary
+// measurements. error_code/error are empty on success; on failure
+// error_code is the StatusCodeName of the cell's status and the
+// measurement fields stay zero.
 struct SweepOutcome {
   std::string label;      // "algorithm/k=K/t=T"
   std::string algorithm;
@@ -34,8 +52,8 @@ struct SweepOutcome {
   double elapsed_seconds = 0.0;
 };
 
-// RunReport: the one machine-readable account of a job, filled from the
-// engine's StreamingReport (or the batch outcomes of a sweep). Every
+// RunReport: the one machine-readable account of a job, filled directly
+// by RunJob's window loop (or, for a sweep, by its cells). Every
 // execution mode fills the shared core (rows, cluster stats,
 // verification, timings); streaming runs add per-window summaries to the
 // JSON, sweeps add per-cell outcomes.
@@ -115,8 +133,8 @@ struct RunReport {
 
   std::string release_path;  // empty when no release CSV was written
 
-  std::vector<StreamingWindowSummary> windows;  // serialized when streaming
-  std::vector<SweepOutcome> sweep;              // sweeps only
+  std::vector<WindowSummary> windows;  // serialized when streaming
+  std::vector<SweepOutcome> sweep;     // sweeps only
 
   // In-memory (non-sweep) runs keep the release here so programmatic
   // callers can audit or post-process it; never serialized.

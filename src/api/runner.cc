@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <future>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,9 +19,10 @@
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
-#include "engine/batch.h"
 #include "engine/pipeline.h"
-#include "engine/streaming.h"
+#include "engine/registry.h"
+#include "engine/sharded.h"
+#include "engine/thread_pool.h"
 #include "obs/trace.h"
 
 namespace tcm {
@@ -133,83 +137,320 @@ Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
   return storage;
 }
 
-StreamingSpec EngineSpec(const JobSpec& spec) {
-  StreamingSpec engine;
-  engine.algorithm = spec.algorithm.name;
-  engine.k = spec.algorithm.k;
-  engine.t = spec.algorithm.t;
-  engine.seed = spec.algorithm.seed;
-  engine.shard_size = spec.execution.shard_size;
-  engine.max_resident_rows = spec.execution.max_resident_rows;
-  engine.merge_strategy = spec.execution.merge_strategy;
-  engine.overlap_io = spec.execution.overlap_io;
-  engine.verify = spec.verify;
-  engine.output_path = spec.output.release_path;
-  return engine;
-}
+// Seed stride between windows; deliberately different from the per-shard
+// stride inside ShardedAnonymize. Window 0 adds nothing, so an in-memory
+// run and a stream that fits in one window both use algorithm.seed
+// exactly — the byte-identity anchor between the two.
+constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
 
-// Copies the engine's report into the job report (all but load_seconds,
-// which each mode times its own way).
-void FillReport(const StreamingReport& run, RunReport* report) {
-  report->rows = run.total_rows;
-  report->clusters = 0;
-  for (const StreamingWindowSummary& window : run.windows) {
-    report->clusters += window.clusters;
+// RunJob's executor for non-sweep jobs: every window goes through the
+// shard fan-out (ShardedAnonymize), then the verify -> write tail, and
+// its numbers land straight in the job's RunReport. An in-memory job is
+// one window, its materialized input run without a copy; a streamed job
+// is the sequence StreamWindows reads. Each released window
+// independently satisfies k-anonymity and t-closeness, so their
+// concatenation is k-anonymous, and t-close per window against the
+// window distribution.
+class WindowExecutor {
+ public:
+  WindowExecutor(const JobSpec& spec, ThreadPool* pool, RunReport* report)
+      : spec_(spec), pool_(pool), report_(report) {
+    report_->k_verified = spec.verify;  // stays true until a window fails
+    report_->t_verified = spec.verify;
+    report_->stage_seconds = {{"shard_seconds", 0.0},
+                              {"shard_anonymize_seconds", 0.0},
+                              {"merge_seconds", 0.0},
+                              {"metrics_seconds", 0.0}};
   }
-  report->min_cluster_size = run.min_cluster_size;
-  report->max_cluster_size = run.max_cluster_size;
-  // Partition::AverageClusterSize's formula, so one window matches the
-  // algorithm's own figure bit for bit.
-  report->average_cluster_size =
-      report->clusters == 0 ? 0.0
-                            : static_cast<double>(report->rows) /
-                                  static_cast<double>(report->clusters);
-  report->max_cluster_emd = run.max_cluster_emd;
-  report->normalized_sse = run.normalized_sse;
-  report->threads = run.threads;
-  report->num_shards = run.num_shards;
-  report->final_merges = run.final_merges;
-  report->num_windows = run.num_windows;
-  report->peak_resident_rows = run.peak_resident_rows;
-  report->k_verified = run.k_verified;
-  report->t_verified = run.t_verified;
-  report->anonymize_seconds = run.anonymize_seconds;
-  report->verify_seconds = run.verify_seconds;
-  report->write_seconds = run.write_seconds;
-  report->stage_seconds = {
-      {"shard_seconds", run.shard_seconds},
-      {"shard_anonymize_seconds", run.shard_anonymize_seconds},
-      {"merge_seconds", run.merge_seconds},
-      {"metrics_seconds", run.metrics_seconds},
-  };
-  report->merge_subtrees = run.merge_subtrees;
-  report->subtree_merges = run.subtree_merges;
-  report->tail_merges = run.tail_merges;
-  report->candidate_checks = run.candidate_checks;
-  report->pruned_checks = run.pruned_checks;
-  report->exact_checks = run.exact_checks;
-  report->overlapped_reads = run.overlapped_reads;
-  report->windows = run.windows;
-}
 
-// The whole input as one window; the release stays in the report.
-Status RunInMemoryJob(const JobSpec& spec, RunReport* report) {
-  Dataset storage;
-  TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                       MaterializeDataset(spec, &storage, report));
-  StreamingPipelineRunner runner(spec.execution.threads);
-  TCM_ASSIGN_OR_RETURN(
-      StreamingReport run,
-      runner.Run(*data, EngineSpec(spec),
-                 [report](Dataset&& release, const StreamingWindowSummary&) {
-                   report->release = std::move(release);
-                   return Status::Ok();
-                 }));
-  FillReport(run, report);
+  // Anonymizes, verifies and writes one window, then folds its summary
+  // into the report. An in-memory job's release moves into
+  // report->release.
+  Status RunWindow(const Dataset& window);
+
+  // Closes the release writer and finalizes the aggregates.
+  Status Finish();
+
+ private:
+  const JobSpec& spec_;
+  ThreadPool* pool_;
+  RunReport* report_;
+  std::unique_ptr<StreamingCsvWriter> writer_;  // opened by the first window
+};
+
+Status WindowExecutor::RunWindow(const Dataset& window) {
+  TraceSpan window_span("window");
+  RunReport& report = *report_;
+  const bool streaming = spec_.execution.mode == ExecutionMode::kStreaming;
+  // Streamed errors name their window; an in-memory job has only one.
+  const std::string context =
+      streaming ? "window " + std::to_string(report.num_windows) + ": " : "";
+
+  // Anonymize: the shard fan-out, seeded per window.
+  ShardedAnonymizeOptions options;
+  options.algorithm = spec_.algorithm.name;
+  options.params.k = spec_.algorithm.k;
+  options.params.t = spec_.algorithm.t;
+  options.params.seed =
+      spec_.algorithm.seed + kWindowSeedStride * report.num_windows;
+  options.shard_size = spec_.execution.shard_size;
+  options.merge_strategy = spec_.execution.merge_strategy;
+  ShardedAnonymizeStats stats;
+  WallTimer timer;
+  auto result = ShardedAnonymize(window, options, pool_, &stats);
+  if (!result.ok()) {
+    return Status(result.status().code(),
+                  context + result.status().message());
+  }
+
+  WindowSummary summary;
+  summary.rows = window.NumRecords();
+  summary.clusters = result->partition.NumClusters();
+  summary.num_shards = stats.num_shards;
+  summary.shard_size = spec_.execution.shard_size;
+  summary.threads = pool_->num_threads();
+  summary.final_merges = stats.final_merges;
+  summary.min_cluster_size = result->min_cluster_size;
+  summary.max_cluster_size = result->max_cluster_size;
+  summary.max_cluster_emd = result->max_cluster_emd;
+  summary.normalized_sse = result->normalized_sse;
+  summary.anonymize_seconds = timer.ElapsedSeconds();
+  report.anonymize_seconds += summary.anonymize_seconds;
+  const double stages[] = {stats.shard_seconds, stats.anonymize_seconds,
+                           stats.merge_seconds, stats.measure_seconds};
+  for (size_t i = 0; i < std::size(stages); ++i) {
+    report.stage_seconds[i].second += stages[i];
+  }
+  report.merge_subtrees += stats.merge_subtrees;
+  report.subtree_merges += stats.subtree_merges;
+  report.tail_merges += stats.tail_merges;
+  report.candidate_checks += stats.candidate_checks;
+  report.pruned_checks += stats.pruned_checks;
+  report.exact_checks += stats.exact_checks;
+
+  // Verify: independent re-check of both guarantees per window.
+  if (spec_.verify) {
+    TraceSpan span("verify");
+    timer.Restart();
+    TCM_ASSIGN_OR_RETURN(
+        ReleaseVerification verification,
+        CheckRelease(result->anonymized, spec_.algorithm.k,
+                     spec_.algorithm.t));
+    report.verify_seconds += timer.ElapsedSeconds();
+    report.k_verified = report.k_verified && verification.k_anonymous;
+    report.t_verified = report.t_verified && verification.t_close;
+    if (!verification.ok()) {
+      return PrivacyViolationError(verification, context);
+    }
+  }
+
+  // Write: header once, then each window's release rows.
+  if (!spec_.output.release_path.empty()) {
+    TraceSpan span("write");
+    timer.Restart();
+    if (writer_ == nullptr) {
+      TCM_ASSIGN_OR_RETURN(writer_,
+                           StreamingCsvWriter::Open(spec_.output.release_path,
+                                                    window.schema()));
+    }
+    TCM_RETURN_IF_ERROR(writer_->WriteRows(result->anonymized, pool_));
+    report.write_seconds += timer.ElapsedSeconds();
+  }
+  if (!streaming) report.release = std::move(result->anonymized);
+
+  // Aggregate metrics (normalized SSE accumulates row-weighted; Finish
+  // divides).
+  report.rows += summary.rows;
+  report.clusters += summary.clusters;
+  report.num_shards += summary.num_shards;
+  report.final_merges += summary.final_merges;
+  report.min_cluster_size =
+      report.num_windows == 0
+          ? summary.min_cluster_size
+          : std::min(report.min_cluster_size, summary.min_cluster_size);
+  report.max_cluster_size =
+      std::max(report.max_cluster_size, summary.max_cluster_size);
+  report.max_cluster_emd =
+      std::max(report.max_cluster_emd, summary.max_cluster_emd);
+  report.normalized_sse +=
+      summary.normalized_sse * static_cast<double>(summary.rows);
+  report.windows.push_back(summary);
+  ++report.num_windows;
   return Status::Ok();
 }
 
-Status RunStreamingJob(const JobSpec& spec, RunReport* report) {
+Status WindowExecutor::Finish() {
+  RunReport& report = *report_;
+  // A single window reports its own value: (sse * n) / n is not always
+  // sse in floating point.
+  report.normalized_sse =
+      report.num_windows == 1
+          ? report.windows.front().normalized_sse
+          : report.normalized_sse / static_cast<double>(report.rows);
+  // Partition::AverageClusterSize's formula, so one window matches the
+  // algorithm's own figure bit for bit.
+  report.average_cluster_size =
+      report.clusters == 0 ? 0.0
+                           : static_cast<double>(report.rows) /
+                                 static_cast<double>(report.clusters);
+  if (writer_ != nullptr) {
+    WallTimer timer;
+    TCM_RETURN_IF_ERROR(writer_->Close());
+    report.write_seconds += timer.ElapsedSeconds();
+  }
+  return Status::Ok();
+}
+
+// The whole input as one window; the release stays in the report.
+Status RunInMemoryJob(const JobSpec& spec, ThreadPool* pool,
+                      RunReport* report) {
+  Dataset storage;
+  TCM_ASSIGN_OR_RETURN(const Dataset* data,
+                       MaterializeDataset(spec, &storage, report));
+  report->peak_resident_rows = data->NumRecords();
+  WindowExecutor executor(spec, pool, report);
+  TCM_RETURN_IF_ERROR(executor.RunWindow(*data));
+  return executor.Finish();
+}
+
+// Drains `source` window by window under the max_resident_rows budget.
+//
+// Memory model. At most one window plus a k-row read-ahead is resident:
+//   - a window is filled to max_resident_rows - k input rows;
+//   - k more rows are read ahead to decide whether the stream continues;
+//     if the stream ends inside the read-ahead, its rows (fewer than k,
+//     too few to anonymize alone) join the current window.
+// Resident input rows therefore never exceed max_resident_rows. (The
+// anonymized copy of the current window roughly doubles the footprint
+// while a window is in flight; the bound governs input rows.)
+//
+// overlap_io: while the current window runs on this thread, one
+// prefetch task fills the next window on the pool. The window target is
+// halved so current window + prefetch + read-ahead still fit the budget
+// (JobSpec::Validate checks the doubled floor), so releases differ from
+// the non-overlapped run of the same spec (different window boundaries)
+// but stay deterministic for any thread count.
+//
+// Determinism. Window w derives its seed from algorithm.seed and w, and
+// ShardedAnonymize is byte-identical for any thread count, so streamed
+// releases are too. When the whole stream fits in one window
+// (max_resident_rows >= rows + k), the release bytes equal the
+// in-memory job's for the same spec, which the tests pin.
+Status StreamWindows(RecordSource* source, const JobSpec& spec,
+                     ThreadPool* pool, RunReport* report) {
+  const Schema& schema = source->schema();
+  if (schema.QuasiIdentifierIndices().empty()) {
+    return Status::InvalidArgument("source schema has no quasi-identifiers");
+  }
+  if (schema.ConfidentialIndices().empty()) {
+    return Status::InvalidArgument(
+        "source schema has no confidential attribute");
+  }
+  const size_t read_ahead = spec.algorithm.k;
+  const size_t budget = spec.execution.max_resident_rows - read_ahead;
+  const size_t window_target =
+      spec.execution.overlap_io ? budget / 2 : budget;
+
+  // Reader state. Exactly one read_window call runs at a time — inline
+  // in the sequential loop, or as the single outstanding prefetch task
+  // in the overlapped one — so carry/exhausted need no lock: the
+  // future's get() orders each prefetch before the next use.
+  Dataset carry(schema);
+  bool exhausted = false;
+
+  // Assembles the next window: carried read-ahead rows first, then fill
+  // from the stream, then read k rows ahead to learn whether this is the
+  // final window.
+  struct WindowRead {
+    Status status = Status::Ok();
+    Dataset window;
+    bool final_window = false;
+    size_t resident = 0;  // window + carry + still-processing rows
+    double seconds = 0.0;
+  };
+  auto read_window = [&schema, &carry, &exhausted, source, window_target,
+                      read_ahead](size_t processing_rows) {
+    TraceSpan span("read");
+    WallTimer read_timer;
+    WindowRead read;
+    read.window = Dataset(schema);
+    auto fill = [&]() -> Status {
+      for (size_t row = 0; row < carry.NumRecords(); ++row) {
+        TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+      }
+      carry = Dataset(schema);
+      if (read.window.NumRecords() < window_target) {
+        TCM_RETURN_IF_ERROR(
+            source
+                ->ReadInto(&read.window,
+                           window_target - read.window.NumRecords())
+                .status());
+      }
+      TCM_ASSIGN_OR_RETURN(size_t ahead,
+                           source->ReadInto(&carry, read_ahead));
+      if (ahead < read_ahead) {
+        // Stream exhausted inside the read-ahead: its rows are too few
+        // to anonymize alone, so they join this (final) window.
+        for (size_t row = 0; row < carry.NumRecords(); ++row) {
+          TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+        }
+        carry = Dataset(schema);
+        exhausted = true;
+      }
+      return Status::Ok();
+    };
+    read.status = fill();
+    read.final_window = exhausted;
+    read.resident = processing_rows + read.window.NumRecords() +
+                    carry.NumRecords();
+    read.seconds = read_timer.ElapsedSeconds();
+    return read;
+  };
+
+  WindowExecutor executor(spec, pool, report);
+  WindowRead current = read_window(0);
+  for (;;) {
+    TCM_RETURN_IF_ERROR(current.status);
+    report->load_seconds += current.seconds;
+    report->peak_resident_rows =
+        std::max(report->peak_resident_rows, current.resident);
+    if (current.window.empty()) break;
+    Dataset window = std::move(current.window);
+
+    // Overlap: kick off the next window's read/parse before this
+    // window's anonymize/verify/write. The prefetch task exclusively
+    // owns the reader state until its future is collected below.
+    std::future<WindowRead> prefetch;
+    const bool overlapped =
+        spec.execution.overlap_io && !current.final_window;
+    const bool was_final = current.final_window;
+    if (overlapped) {
+      const size_t processing_rows = window.NumRecords();
+      prefetch = pool->Submit([&read_window, processing_rows]() {
+        return read_window(processing_rows);
+      });
+      ++report->overlapped_reads;
+    }
+
+    const Status status = executor.RunWindow(window);
+    // Collect the prefetch even when the window failed: it borrows this
+    // frame's reader state.
+    if (overlapped) current = prefetch.get();
+    TCM_RETURN_IF_ERROR(status);
+    if (!overlapped) {
+      if (was_final) break;
+      current = read_window(0);
+    }
+  }
+
+  if (report->num_windows == 0) {
+    return Status::InvalidArgument("stream produced no records");
+  }
+  return executor.Finish();
+}
+
+Status RunStreamingJob(const JobSpec& spec, ThreadPool* pool,
+                       RunReport* report) {
   // Build the record source the spec names.
   std::unique_ptr<StreamingCsvReader> reader;
   std::unique_ptr<ColumnarSource> columnar;
@@ -261,11 +502,7 @@ Status RunStreamingJob(const JobSpec& spec, RunReport* report) {
           "streaming execution cannot read an in-memory dataset");
   }
 
-  StreamingPipelineRunner runner(spec.execution.threads);
-  TCM_ASSIGN_OR_RETURN(StreamingReport run,
-                       runner.Run(source, EngineSpec(spec)));
-  FillReport(run, report);
-  report->load_seconds = run.read_seconds;
+  TCM_RETURN_IF_ERROR(StreamWindows(source, spec, pool, report));
   if (columnar != nullptr) {
     report->input_mapped_bytes = columnar->mapped_bytes();
     report->input_copied_bytes = columnar->copied_bytes();
@@ -273,7 +510,11 @@ Status RunStreamingJob(const JobSpec& spec, RunReport* report) {
   return Status::Ok();
 }
 
-Status RunSweepJob(const JobSpec& spec, RunReport* report) {
+// Each cell of the cross product runs RunAlgorithm as its own pool task
+// and fills its own outcome row; a failed cell records its error without
+// affecting the others. Releases are dropped inside the task to keep
+// sweep memory bounded.
+Status RunSweepJob(const JobSpec& spec, ThreadPool* pool, RunReport* report) {
   Dataset storage;
   TCM_ASSIGN_OR_RETURN(const Dataset* data,
                        MaterializeDataset(spec, &storage, report));
@@ -288,64 +529,53 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
   const std::vector<double> ts =
       sweep.ts.empty() ? std::vector<double>{spec.algorithm.t} : sweep.ts;
 
-  // One enumeration of the cross product: the coordinates drive both the
-  // batch jobs and the outcome rows, so they can never fall out of step.
-  struct SweepCell {
-    std::string algorithm;
-    size_t k;
-    double t;
-  };
-  std::vector<SweepCell> cells;
-  cells.reserve(algorithms.size() * ks.size() * ts.size());
+  // All rows exist before the first task starts, so the tasks' row
+  // references stay valid.
+  report->sweep.reserve(algorithms.size() * ks.size() * ts.size());
   for (const std::string& algorithm : algorithms) {
     for (size_t k : ks) {
-      for (double t : ts) cells.push_back({algorithm, k, t});
+      for (double t : ts) {
+        SweepOutcome cell;
+        cell.label = algorithm + "/k=" + std::to_string(k) +
+                     "/t=" + FormatDouble(t);
+        cell.algorithm = algorithm;
+        cell.k = k;
+        cell.t = t;
+        report->sweep.push_back(std::move(cell));
+      }
     }
   }
 
-  std::vector<BatchJob> jobs;
-  jobs.reserve(cells.size());
-  for (const SweepCell& cell : cells) {
-    BatchJob job;
-    job.label = cell.algorithm + "/k=" + std::to_string(cell.k) +
-                "/t=" + FormatDouble(cell.t);
-    job.data = data;
-    job.algorithm = cell.algorithm;
-    job.params.k = cell.k;
-    job.params.t = cell.t;
-    job.params.seed = spec.algorithm.seed;
-    jobs.push_back(std::move(job));
-  }
-
-  ThreadPool pool(spec.execution.threads);
-  report->threads = pool.num_threads();
   WallTimer timer;
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, &pool);
+  std::vector<std::future<void>> tasks;
+  tasks.reserve(report->sweep.size());
+  for (SweepOutcome& cell : report->sweep) {
+    tasks.push_back(pool->Submit([&cell, data, seed = spec.algorithm.seed] {
+      AlgorithmParams params;
+      params.k = cell.k;
+      params.t = cell.t;
+      params.seed = seed;
+      auto result = RunAlgorithm(*data, cell.algorithm, params);
+      if (!result.ok()) {
+        cell.error_code = StatusCodeName(result.status().code());
+        cell.error = result.status().message();
+        return;
+      }
+      cell.clusters = result->partition.NumClusters();
+      cell.min_cluster_size = result->min_cluster_size;
+      cell.max_cluster_size = result->max_cluster_size;
+      cell.max_cluster_emd = result->max_cluster_emd;
+      cell.normalized_sse = result->normalized_sse;
+      cell.elapsed_seconds = result->elapsed_seconds;
+    }));
+  }
+  // Every task borrows `data` and its row: let all of them finish before
+  // get() can rethrow a task's exception and unwind this frame.
+  for (std::future<void>& task : tasks) task.wait();
+  for (std::future<void>& task : tasks) task.get();
   // Wall clock of the fan-out; each cell's own time is in its outcome
   // (their sum exceeds this when cells run concurrently).
   report->anonymize_seconds = timer.ElapsedSeconds();
-
-  report->sweep.reserve(outcomes.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const BatchOutcome& outcome = outcomes[i];
-    SweepOutcome out;
-    out.label = outcome.label;
-    out.algorithm = cells[i].algorithm;
-    out.k = cells[i].k;
-    out.t = cells[i].t;
-    if (!outcome.status.ok()) {
-      out.error_code = StatusCodeName(outcome.status.code());
-      out.error = outcome.status.message();
-    } else {
-      out.clusters = outcome.clusters;
-      out.min_cluster_size = outcome.min_cluster_size;
-      out.max_cluster_size = outcome.max_cluster_size;
-      out.max_cluster_emd = outcome.max_cluster_emd;
-      out.normalized_sse = outcome.normalized_sse;
-      out.elapsed_seconds = outcome.elapsed_seconds;
-    }
-    report->sweep.push_back(std::move(out));
-  }
   return Status::Ok();
 }
 
@@ -381,12 +611,16 @@ Result<RunReport> RunJob(const JobSpec& spec) {
 
   {
     TraceSpan job_span("job");
+    // The job's one pool: shard fan-out, overlapped reads, pooled
+    // release formatting and sweep cells all run on it.
+    ThreadPool pool(spec.execution.threads);
+    report.threads = pool.num_threads();
     if (report.swept) {
-      TCM_RETURN_IF_ERROR(RunSweepJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunSweepJob(spec, &pool, &report));
     } else if (spec.execution.mode == ExecutionMode::kStreaming) {
-      TCM_RETURN_IF_ERROR(RunStreamingJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunStreamingJob(spec, &pool, &report));
     } else {
-      TCM_RETURN_IF_ERROR(RunInMemoryJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunInMemoryJob(spec, &pool, &report));
     }
   }
   report.total_seconds = total.ElapsedSeconds();

@@ -12,10 +12,11 @@ namespace tcm {
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
-// kUnknownAlgorithm), lowers it onto StreamingPipelineRunner (an
-// in-memory job materializes its input and runs it as one window) or
-// RunBatch (sweeps), and — when the spec names a report_path — writes
-// the JSON report before returning. Failures carry the structured
+// kUnknownAlgorithm), builds one thread pool for the job, runs its
+// window loop (an in-memory job materializes its input and runs it as
+// one window) or its sweep cells on that pool, fills the RunReport as it
+// goes, and — when the spec names a report_path — writes the JSON
+// report before returning. Failures carry the structured
 // taxonomy: kIoError for unreadable inputs/sinks, kPrivacyViolation
 // when a verified release fails re-verification.
 //

@@ -18,8 +18,8 @@ namespace tcm {
 // Fixed-size worker pool with a FIFO task queue. Submit() hands back a
 // std::future for the task's return value; WaitAll() blocks until every
 // submitted task has finished. The pool is the execution substrate of the
-// engine (sharded pipeline runner, batch mode) but is generic: tasks are
-// arbitrary callables.
+// engine (shard fan-out, RunJob's window loop and sweeps) but is
+// generic: tasks are arbitrary callables.
 //
 // Scheduling is non-deterministic across threads by nature; engine callers
 // obtain deterministic RESULTS by collecting futures in submission order

@@ -195,6 +195,11 @@ TEST(JobSpecJsonTest, RejectionCorpus) {
       {R"({"input": {"kind": "synthetic"},
            "execution": {"mode": "in_memory", "overlap_io": true}})",
        "overlap_io"},
+      // overlap_io keeps a second window resident: k + 2 * max(k, 2).
+      {R"({"input": {"kind": "synthetic"}, "algorithm": {"k": 5},
+           "execution": {"mode": "streaming", "max_resident_rows": 12,
+                         "overlap_io": true}})",
+       "k + 2 * max(k, 2) = 15"},
       // Not JSON at all.
       {"not json", "not valid JSON"},
       {R"({"version": 1,})", "not valid JSON"},
@@ -679,6 +684,38 @@ TEST(RunJobTest, SweepFansOutTheCrossProduct) {
   EXPECT_EQ(json.Find("sweep")->size(), 4u);
 }
 
+// Sweep cells run as independent pool tasks: the report keeps cell
+// order, and a failing cell (k above the row count) records its error
+// without touching its neighbours.
+TEST(SweepTest, OutcomesStayInJobOrderAndIsolateFailures) {
+  Dataset small = MakeUniformDataset(60, 2, 89);
+  JobSpec spec;
+  spec.execution.threads = 3;
+  spec.sweep.emplace();
+  spec.sweep->algorithms = {"tclose_first", "merge"};
+  spec.sweep->ks = {3, 1000};  // 1000 > n: must fail
+  spec.sweep->ts = {0.3};
+  auto report = RunJob(small, spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->sweep.size(), 4u);
+  const char* labels[] = {"tclose_first/k=3/t=0.3",
+                          "tclose_first/k=1000/t=0.3", "merge/k=3/t=0.3",
+                          "merge/k=1000/t=0.3"};
+  for (size_t i = 0; i < report->sweep.size(); ++i) {
+    const SweepOutcome& cell = report->sweep[i];
+    EXPECT_EQ(cell.label, labels[i]);
+    if (cell.k == 1000) {
+      EXPECT_FALSE(cell.error_code.empty()) << cell.label;
+      EXPECT_EQ(cell.clusters, 0u);
+    } else {
+      EXPECT_TRUE(cell.error_code.empty()) << cell.label << ": "
+                                           << cell.error;
+      EXPECT_GE(cell.min_cluster_size, 3u);
+      EXPECT_LE(cell.max_cluster_emd, 0.3 + 1e-9);
+    }
+  }
+}
+
 TEST(RunJobTest, StreamingReportCarriesWindows) {
   JobSpec spec;
   spec.input.kind = InputKind::kSynthetic;
@@ -698,7 +735,7 @@ TEST(RunJobTest, StreamingReportCarriesWindows) {
   EXPECT_LE(report->peak_resident_rows, 150u);
   EXPECT_FALSE(report->release.has_value());
   size_t window_rows = 0;
-  for (const StreamingWindowSummary& window : report->windows) {
+  for (const WindowSummary& window : report->windows) {
     window_rows += window.rows;
   }
   EXPECT_EQ(window_rows, 400u);

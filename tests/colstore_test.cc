@@ -459,7 +459,7 @@ TEST(FormatEquivalenceTest, StreamingReportRecordsTheShardPlan) {
   FormatRun run = RunGolden(csv, InputFormat::kCsv,
                             ExecutionMode::kStreaming, 2, "shard_plan.csv");
   ASSERT_FALSE(run.report.windows.empty());
-  for (const StreamingWindowSummary& window : run.report.windows) {
+  for (const WindowSummary& window : run.report.windows) {
     EXPECT_EQ(window.shard_size, 64u);
     EXPECT_EQ(window.threads, 2u);
     EXPECT_GE(window.num_shards, 1u);

@@ -1,5 +1,5 @@
 // Tests for the parallel anonymization engine: thread pool, algorithm
-// registry, sharded pipeline runner and batch mode. The load-bearing
+// registry, sharded anonymize and the RunJob pipeline. The load-bearing
 // property is determinism — the release must be byte-identical for any
 // thread count.
 
@@ -19,10 +19,8 @@
 #include "api/runner.h"
 #include "data/csv.h"
 #include "data/generator.h"
-#include "engine/batch.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
-#include "engine/streaming.h"
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
 #include "privacy/kanonymity.h"
@@ -470,57 +468,15 @@ TEST(PipelineTest, UnknownColumnFailsWithAvailableColumns) {
 
 TEST(PipelineTest, InMemoryRunKeepsExistingRoles) {
   Dataset data = MakeMcdDataset();  // roles already assigned
-  StreamingSpec spec;
-  spec.k = 4;
-  spec.t = 0.15;
-  spec.shard_size = 0;
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
+  JobSpec spec;
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.15;
+  spec.execution.shard_size = 0;
+  auto report = RunJob(data, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
   EXPECT_EQ(report->num_shards, 1u);
-}
-
-// ------------------------------------------------------------------- Batch
-
-TEST(BatchTest, OutcomesStayInJobOrderAndIsolateFailures) {
-  Dataset small = MakeUniformDataset(60, 2, 89);
-  Dataset medium = MakeUniformDataset(200, 2, 91);
-  std::vector<BatchJob> jobs(3);
-  jobs[0].label = "ok-small";
-  jobs[0].data = &small;
-  jobs[0].params.k = 3;
-  jobs[0].params.t = 0.3;
-  jobs[1].label = "bad-k";
-  jobs[1].data = &small;
-  jobs[1].params.k = 1000;  // > n: must fail
-  jobs[2].label = "ok-medium";
-  jobs[2].data = &medium;
-  jobs[2].algorithm = "merge";
-  jobs[2].params.k = 4;
-  jobs[2].params.t = 0.3;
-
-  ThreadPool pool(3);
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, &pool);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].label, "ok-small");
-  EXPECT_TRUE(outcomes[0].status.ok());
-  EXPECT_GE(outcomes[0].min_cluster_size, 3u);
-  EXPECT_EQ(outcomes[1].label, "bad-k");
-  EXPECT_FALSE(outcomes[1].status.ok());
-  EXPECT_EQ(outcomes[2].label, "ok-medium");
-  EXPECT_TRUE(outcomes[2].status.ok());
-  EXPECT_LE(outcomes[2].max_cluster_emd, 0.3 + 1e-9);
-}
-
-TEST(BatchTest, NullDatasetAndNullPoolAreHandled) {
-  std::vector<BatchJob> jobs(1);
-  jobs[0].label = "no-data";
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, nullptr);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].status.ok());
-  EXPECT_TRUE(RunBatch({}, nullptr).empty());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // anonymization pipeline are pinned for a fixed seed/dataset/flag
 // matrix, so a future refactor cannot silently change what gets
 // released. The matrix mirrors tcm_anonymize invocations (the tool is a
-// thin flag parser over a JobSpec that lowers onto StreamingSpec, and
+// thin flag parser over the same JobSpec these tests hand to RunJob, and
 // the CSV bytes it writes are exactly WriteCsvString of the release —
 // additionally pinned binary-level by tools/anonymize_golden.cmake).
 //
@@ -15,16 +15,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
-#include "data/csv_stream.h"
 #include "data/generator.h"
 #include "data/record_source.h"
-#include "engine/streaming.h"
 
 #ifndef TCM_GOLDEN_DIR
 #error "TCM_GOLDEN_DIR must point at tests/golden"
@@ -65,20 +63,32 @@ void CompareWithGolden(const std::string& name, const std::string& bytes) {
 
 Dataset GoldenInput() { return MakeMcdDataset({.num_records = 120, .seed = 7}); }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// A job over the golden rows: in memory unless a test switches it to
+// streaming.
+JobSpec GoldenSpec(const char* algorithm, size_t k, double t) {
+  JobSpec spec;
+  spec.algorithm.name = algorithm;
+  spec.algorithm.k = k;
+  spec.algorithm.t = t;
+  spec.algorithm.seed = 9;
+  spec.execution.shard_size = 64;
+  spec.execution.threads = 2;
+  return spec;
+}
+
 // Runs `data` in memory (one window) and returns the release's CSV bytes.
-Result<std::string> InMemoryRelease(StreamingPipelineRunner* runner,
-                                    const Dataset& data,
-                                    const StreamingSpec& spec) {
-  Dataset release;
-  TCM_RETURN_IF_ERROR(
-      runner
-          ->Run(data, spec,
-                [&release](Dataset&& window, const StreamingWindowSummary&) {
-                  release = std::move(window);
-                  return Status::Ok();
-                })
-          .status());
-  return WriteCsvString(release);
+Result<std::string> InMemoryRelease(const Dataset& data,
+                                    const JobSpec& spec) {
+  TCM_ASSIGN_OR_RETURN(RunReport report, RunJob(data, spec));
+  return WriteCsvString(*report.release);
 }
 
 // The generator + CSV writer themselves are part of the pinned surface.
@@ -101,16 +111,8 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
       {"mondrian", 4, 0.3},     {"sabre", 4, 0.3},
   };
   Dataset data = GoldenInput();
-  StreamingPipelineRunner runner(2);
   for (const Case& c : cases) {
-    StreamingSpec spec;
-    spec.algorithm = c.algorithm;
-    spec.k = c.k;
-    spec.t = c.t;
-    spec.seed = 9;
-    spec.shard_size = 64;
-    spec.verify = true;
-    auto release = InMemoryRelease(&runner, data, spec);
+    auto release = InMemoryRelease(data, GoldenSpec(c.algorithm, c.k, c.t));
     ASSERT_TRUE(release.ok()) << c.algorithm << ": "
                               << release.status().ToString();
     char name[128];
@@ -125,30 +127,19 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
 // committed golden bytes.
 TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
   Dataset data = GoldenInput();
-  StreamingSpec spec;
-  spec.algorithm = "tclose_first";
-  spec.k = 5;
-  spec.t = 0.3;
-  spec.seed = 9;
-  spec.shard_size = 64;
-  spec.max_resident_rows = 4096;  // whole stream in one window
-  StreamingPipelineRunner runner(2);
-  auto mem_bytes = InMemoryRelease(&runner, data, spec);
+  JobSpec spec = GoldenSpec("tclose_first", 5, 0.3);
+  auto mem_bytes = InMemoryRelease(data, spec);
   ASSERT_TRUE(mem_bytes.ok()) << mem_bytes.status().ToString();
 
   DatasetSource source(&data);
-  std::string streamed_bytes;
-  AppendCsvHeader(data.schema(), &streamed_bytes);
-  auto report = runner.Run(
-      &source, spec,
-      [&](const Dataset& release, const StreamingWindowSummary&) {
-        for (size_t row = 0; row < release.NumRecords(); ++row) {
-          AppendCsvRow(release, row, &streamed_bytes);
-        }
-        return Status::Ok();
-      });
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.max_resident_rows = 4096;  // whole stream in one window
+  spec.output.release_path =
+      ::testing::TempDir() + "golden_streamed_single.csv";
+  auto report = RunJob(&source, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->num_windows, 1u);
+  const std::string streamed_bytes = ReadFileBytes(spec.output.release_path);
   EXPECT_EQ(streamed_bytes, *mem_bytes);
   CompareWithGolden("release_tclose_first_k5_t30.csv", streamed_bytes);
 }
@@ -157,41 +148,27 @@ TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
 // per-window seeds are part of the streaming contract.
 TEST(GoldenReleaseTest, StreamedMultiWindowReleaseIsPinned) {
   auto source = MakeUniformSource(400, 2, 31);
-  StreamingSpec spec;
-  spec.algorithm = "merge_chunked";
-  spec.k = 4;
-  spec.t = 0.25;
-  spec.seed = 13;
-  spec.shard_size = 64;
-  spec.max_resident_rows = 150;
-  std::string bytes;
-  AppendCsvHeader(source->schema(), &bytes);
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(
-      source.get(), spec,
-      [&](const Dataset& release, const StreamingWindowSummary&) {
-        for (size_t row = 0; row < release.NumRecords(); ++row) {
-          AppendCsvRow(release, row, &bytes);
-        }
-        return Status::Ok();
-      });
+  JobSpec spec = GoldenSpec("merge_chunked", 4, 0.25);
+  spec.algorithm.seed = 13;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.max_resident_rows = 150;
+  spec.output.release_path =
+      ::testing::TempDir() + "golden_streamed_multi.csv";
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->num_windows, 2u);
-  CompareWithGolden("release_streamed_uniform400.csv", bytes);
+  CompareWithGolden("release_streamed_uniform400.csv",
+                    ReadFileBytes(spec.output.release_path));
 }
 
 // Mixed-type (categorical) releases exercise label round-tripping in
 // the pinned bytes.
 TEST(GoldenReleaseTest, CategoricalReleaseBytesArePinned) {
   Dataset data = MakeAdultLike({.num_records = 90, .seed = 3});
-  StreamingSpec spec;
-  spec.algorithm = "merge";
-  spec.k = 3;
-  spec.t = 0.3;
-  spec.seed = 9;
-  spec.shard_size = 0;
-  StreamingPipelineRunner runner(1);
-  auto release = InMemoryRelease(&runner, data, spec);
+  JobSpec spec = GoldenSpec("merge", 3, 0.3);
+  spec.execution.shard_size = 0;
+  spec.execution.threads = 1;
+  auto release = InMemoryRelease(data, spec);
   ASSERT_TRUE(release.ok()) << release.status().ToString();
   CompareWithGolden("release_adult_merge_k3_t30.csv", *release);
 }

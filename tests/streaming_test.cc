@@ -1,15 +1,18 @@
 // Tests for the out-of-core streaming execution layer: RecordSource and
-// its implementations, the streaming CSV reader/writer, and
-// StreamingPipelineRunner. The load-bearing properties: (1) streamed
-// and in-memory paths agree — a single-window streamed release is
-// byte-identical to the in-memory job's release at any thread count; (2) resident input rows never exceed the max_resident_rows
-// budget; (3) every released window independently re-verifies
-// k-anonymous and t-close.
+// its implementations, the streaming CSV reader/writer, and RunJob's
+// streamed window loop. The load-bearing properties: (1) streamed and
+// in-memory paths agree — a single-window streamed release is
+// byte-identical to the in-memory job's release at any thread count;
+// (2) resident input rows never exceed the max_resident_rows budget;
+// (3) every released window independently re-verifies k-anonymous and
+// t-close.
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +23,6 @@
 #include "data/generator.h"
 #include "data/record_source.h"
 #include "engine/pipeline.h"
-#include "engine/streaming.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
 
@@ -202,16 +204,17 @@ TEST(StreamingCsvWriterTest, WindowedWritesMatchWriteCsvBytes) {
   EXPECT_EQ(ReadFileBytes(windowed_path), ReadFileBytes(whole_path));
 }
 
-// ----------------------------------------------- StreamingPipelineRunner
+// ------------------------------------------------- streamed RunJob windows
 
-StreamingSpec BaseSpec() {
-  StreamingSpec spec;
-  spec.algorithm = "tclose_first";
-  spec.k = 4;
-  spec.t = 0.25;
-  spec.seed = 7;
-  spec.shard_size = 256;
-  spec.max_resident_rows = 100000;
+JobSpec BaseSpec() {
+  JobSpec spec;
+  spec.algorithm.name = "tclose_first";
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.25;
+  spec.algorithm.seed = 7;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.shard_size = 256;
+  spec.execution.max_resident_rows = 100000;
   return spec;
 }
 
@@ -225,32 +228,21 @@ TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
 
   for (size_t threads : {1u, 4u}) {
     const std::string suffix = std::to_string(threads) + ".csv";
+    JobSpec spec = BaseSpec();
+    spec.input.path = input_path;
+    spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+    spec.roles.confidential = "CONF";
+    spec.execution.threads = threads;
+
+    JobSpec mem_spec = spec;
     const std::string mem_path = TempPath("stream_identity_mem" + suffix);
-    JobSpec mem_spec;
-    mem_spec.input.path = input_path;
     mem_spec.output.release_path = mem_path;
-    mem_spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
-    mem_spec.roles.confidential = "CONF";
-    mem_spec.algorithm.name = "tclose_first";
-    mem_spec.algorithm.k = 4;
-    mem_spec.algorithm.t = 0.25;
-    mem_spec.algorithm.seed = 7;
     mem_spec.execution.mode = ExecutionMode::kInMemory;
-    mem_spec.execution.threads = threads;
-    mem_spec.execution.shard_size = 256;
     ASSERT_TRUE(RunJob(mem_spec).ok());
 
     const std::string str_path = TempPath("stream_identity_str" + suffix);
-    auto reader = StreamingCsvReader::OpenNumeric(input_path);
-    ASSERT_TRUE(reader.ok());
-    auto roled =
-        SchemaWithRoles((*reader)->schema(), {"QI0", "QI1", "QI2"}, "CONF");
-    ASSERT_TRUE(roled.ok());
-    ASSERT_TRUE((*reader)->ReplaceSchema(std::move(roled).value()).ok());
-    StreamingSpec spec = BaseSpec();
-    spec.output_path = str_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(reader->get(), spec);
+    spec.output.release_path = str_path;
+    auto report = RunJob(spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->num_windows, 1u);
     EXPECT_TRUE(report->k_verified);
@@ -266,22 +258,22 @@ TEST(StreamingPipelineRunnerTest, MultiWindowRespectsResidentBudget) {
   constexpr size_t kRows = 3000;
   constexpr size_t kBudget = 700;
   auto source = MakeUniformSource(kRows, 3, 42);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = kBudget;
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = kBudget;
+  spec.execution.threads = 2;
   const std::string out_path = TempPath("stream_multiwindow.csv");
-  spec.output_path = out_path;
+  spec.output.release_path = out_path;
 
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), spec);
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->num_windows, 4u);
-  EXPECT_EQ(report->total_rows, kRows);
+  EXPECT_EQ(report->rows, kRows);
   EXPECT_LE(report->peak_resident_rows, kBudget);
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
   size_t sum = 0;
-  for (const StreamingWindowSummary& window : report->windows) {
-    EXPECT_GE(window.rows, spec.k);
+  for (const WindowSummary& window : report->windows) {
+    EXPECT_GE(window.rows, spec.algorithm.k);
     EXPECT_LE(window.rows, kBudget);
     sum += window.rows;
   }
@@ -292,22 +284,22 @@ TEST(StreamingPipelineRunnerTest, MultiWindowRespectsResidentBudget) {
   ASSERT_TRUE(release.ok());
   EXPECT_EQ(release->NumRecords(), kRows);
   ASSERT_TRUE(AssignRoles(&*release, {"QI0", "QI1", "QI2"}, "CONF").ok());
-  auto k_ok = IsKAnonymous(*release, spec.k);
+  auto k_ok = IsKAnonymous(*release, spec.algorithm.k);
   ASSERT_TRUE(k_ok.ok());
   EXPECT_TRUE(*k_ok);
 }
 
 TEST(StreamingPipelineRunnerTest, MultiWindowReleaseIsThreadInvariant) {
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 500;
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = 500;
   std::string reference;
   for (size_t threads : {1u, 4u}) {
     auto source = MakeUniformSource(1700, 2, 13);
     const std::string out_path =
         TempPath("stream_invariant_" + std::to_string(threads) + ".csv");
-    spec.output_path = out_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(source.get(), spec);
+    spec.output.release_path = out_path;
+    spec.execution.threads = threads;
+    auto report = RunJob(source.get(), spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report->num_windows, 1u);
     std::string bytes = ReadFileBytes(out_path);
@@ -328,19 +320,19 @@ TEST(StreamingPipelineRunnerTest, MultiWindowReleaseIsThreadInvariant) {
 TEST(StreamingPipelineRunnerTest, OverlapIoStaysBoundedAndDeterministic) {
   constexpr size_t kRows = 3000;
   constexpr size_t kBudget = 700;
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = kBudget;
-  spec.overlap_io = true;
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = kBudget;
+  spec.execution.overlap_io = true;
   std::string reference;
   for (size_t threads : {1u, 2u, 4u}) {
     auto source = MakeUniformSource(kRows, 3, 42);
     const std::string out_path =
         TempPath("stream_overlap_" + std::to_string(threads) + ".csv");
-    spec.output_path = out_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(source.get(), spec);
+    spec.output.release_path = out_path;
+    spec.execution.threads = threads;
+    auto report = RunJob(source.get(), spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->total_rows, kRows);
+    EXPECT_EQ(report->rows, kRows);
     EXPECT_LE(report->peak_resident_rows, kBudget);
     EXPECT_GT(report->num_windows, 1u);
     EXPECT_GT(report->overlapped_reads, 0u);
@@ -358,10 +350,10 @@ TEST(StreamingPipelineRunnerTest, OverlapIoStaysBoundedAndDeterministic) {
   // overlapped reads (and the existing byte-pinning tests above cover
   // its output).
   auto source = MakeUniformSource(kRows, 3, 42);
-  StreamingSpec serial = BaseSpec();
-  serial.max_resident_rows = kBudget;
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), serial);
+  JobSpec serial = BaseSpec();
+  serial.execution.max_resident_rows = kBudget;
+  serial.execution.threads = 2;
+  auto report = RunJob(source.get(), serial);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->overlapped_reads, 0u);
 }
@@ -370,12 +362,12 @@ TEST(StreamingPipelineRunnerTest, OverlapIoStaysBoundedAndDeterministic) {
 // hold per window and the merge ledger balances across the whole run.
 TEST(StreamingPipelineRunnerTest, HierarchicalMergeComposesWithWindows) {
   auto source = MakeUniformSource(2400, 3, 21);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 800;
-  spec.shard_size = 120;
-  spec.merge_strategy = MergeStrategy::kHierarchical;
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = 800;
+  spec.execution.shard_size = 120;
+  spec.execution.merge_strategy = MergeStrategy::kHierarchical;
+  spec.execution.threads = 2;
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
@@ -390,54 +382,54 @@ TEST(StreamingPipelineRunnerTest, TailSmallerThanKJoinsFinalWindow) {
   // 2-row tail that cannot be anonymized alone and must join the last
   // window.
   auto source = MakeUniformSource(302, 2, 99);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 104;
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = 104;
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->total_rows, 302u);
+  EXPECT_EQ(report->rows, 302u);
   EXPECT_LE(report->peak_resident_rows, 104u);
-  for (const StreamingWindowSummary& window : report->windows) {
-    EXPECT_GE(window.rows, spec.k);
+  for (const WindowSummary& window : report->windows) {
+    EXPECT_GE(window.rows, spec.algorithm.k);
   }
 }
 
+// Every window reaches the release file, in stream order: the file holds
+// exactly the rows the per-window summaries account for.
 TEST(StreamingPipelineRunnerTest, SinkSeesEveryWindowInOrder) {
   auto source = MakeUniformSource(900, 2, 55);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 300;
-  StreamingPipelineRunner runner(2);
-  size_t sink_rows = 0;
-  size_t sink_calls = 0;
-  auto report = runner.Run(
-      source.get(), spec,
-      [&](const Dataset& release, const StreamingWindowSummary& summary) {
-        EXPECT_EQ(release.NumRecords(), summary.rows);
-        sink_rows += release.NumRecords();
-        ++sink_calls;
-        return Status::Ok();
-      });
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = 300;
+  spec.execution.threads = 2;
+  spec.output.release_path = TempPath("stream_every_window.csv");
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(sink_calls, report->num_windows);
-  EXPECT_EQ(sink_rows, report->total_rows);
+  size_t window_rows = 0;
+  for (const WindowSummary& window : report->windows) {
+    EXPECT_GE(window.rows, spec.algorithm.k);
+    window_rows += window.rows;
+  }
+  EXPECT_EQ(report->windows.size(), report->num_windows);
+  EXPECT_EQ(window_rows, report->rows);
+  auto release = ReadNumericCsv(spec.output.release_path);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  EXPECT_EQ(release->NumRecords(), report->rows);
 }
 
 TEST(StreamingPipelineRunnerTest, RejectsBudgetSmallerThanKFloor) {
   auto source = MakeUniformSource(100, 2, 1);
-  StreamingSpec spec = BaseSpec();
-  spec.k = 10;
-  spec.max_resident_rows = 15;  // < k + max(k, 2) = 20
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = BaseSpec();
+  spec.algorithm.k = 10;
+  spec.execution.max_resident_rows = 15;  // < k + max(k, 2) = 20
+  auto report = RunJob(source.get(), spec);
   EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidSpec);
 }
 
 TEST(StreamingPipelineRunnerTest, RejectsUnknownAlgorithmBeforeReading) {
   auto source = MakeUniformSource(100, 2, 1);
-  StreamingSpec spec = BaseSpec();
-  spec.algorithm = "no_such_algorithm";
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = BaseSpec();
+  spec.algorithm.name = "no_such_algorithm";
+  auto report = RunJob(source.get(), spec);
   EXPECT_FALSE(report.ok());
   // Nothing was consumed: the stream still yields its first row.
   Dataset probe(source->schema());
@@ -452,9 +444,7 @@ TEST(StreamingPipelineRunnerTest, RejectsSchemaWithoutRoles) {
   ASSERT_TRUE(WriteCsv(data, path).ok());
   auto reader = StreamingCsvReader::OpenNumeric(path);  // roles all kOther
   ASSERT_TRUE(reader.ok());
-  StreamingSpec spec = BaseSpec();
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(reader->get(), spec);
+  auto report = RunJob(reader->get(), BaseSpec());
   EXPECT_FALSE(report.ok());
 }
 
@@ -464,10 +454,49 @@ TEST(StreamingPipelineRunnerTest, EmptyStreamIsAnError) {
                        Attribute{"CONF", AttributeType::kNumeric,
                                  AttributeRole::kConfidential, {}}}));
   DatasetSource source(&data);
-  StreamingSpec spec = BaseSpec();
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(&source, spec);
+  auto report = RunJob(&source, BaseSpec());
   EXPECT_FALSE(report.ok());
+}
+
+// A uniform stream whose reads after the first window sleep, so the
+// overlapped prefetch of window 1 is certainly still running when
+// window 0 finishes.
+class SlowAfterFirstWindowSource : public RecordSource {
+ public:
+  SlowAfterFirstWindowSource(size_t rows, uint64_t seed)
+      : inner_(MakeUniformSource(rows, 2, seed)) {}
+
+  const Schema& schema() const override { return inner_->schema(); }
+
+  Result<size_t> ReadInto(Dataset* out, size_t max_rows) override {
+    // Window 0 takes two reads: its fill and the k-row read-ahead.
+    if (++reads_ > 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    return inner_->ReadInto(out, max_rows);
+  }
+
+ private:
+  std::unique_ptr<SyntheticSource> inner_;
+  size_t reads_ = 0;
+};
+
+// Window 0 fails (its release cannot be opened) while window 1's
+// prefetch is in flight. The job must wait for the prefetch, which
+// borrows the window loop's reader state, before it unwinds; the asan
+// and tsan presets catch a use after return here.
+TEST(StreamedJobTest, FailedWindowWaitsForInFlightPrefetch) {
+  SlowAfterFirstWindowSource source(400, 5);
+  JobSpec spec = BaseSpec();
+  spec.execution.max_resident_rows = 120;
+  spec.execution.overlap_io = true;
+  spec.execution.shard_size = 0;  // window 0 never queues on the pool
+  spec.execution.threads = 2;
+  spec.output.release_path = TempPath("no_such_dir/nested/release.csv");
+  auto report = RunJob(&source, spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIoError)
+      << report.status().ToString();
 }
 
 }  // namespace

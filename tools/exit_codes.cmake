@@ -44,6 +44,16 @@ file(WRITE "${WORK_DIR}/invalid_spec_job.json" [[{
   "algorithm": {"k": 0}
 }]])
 
+# Fits k + max(k, 2) = 10 rows but not the k + 2 * max(k, 2) = 15 that
+# overlap_io needs: rejected by spec validation, not inside the engine.
+file(WRITE "${WORK_DIR}/overlap_budget_job.json" [[{
+  "version": 1,
+  "input": {"kind": "synthetic", "generator": "uniform", "rows": 120},
+  "algorithm": {"k": 5},
+  "execution": {"mode": "streaming", "max_resident_rows": 12,
+                "overlap_io": true}
+}]])
+
 file(WRITE "${WORK_DIR}/unknown_algorithm_job.json" [[{
   "version": 1,
   "input": {"kind": "synthetic"},
@@ -85,6 +95,10 @@ expect_exit(2 "usage error (audit refuses anonymization flags)"
   --output "${WORK_DIR}/never.csv")
 
 expect_exit(3 "InvalidSpec" --job "${WORK_DIR}/invalid_spec_job.json"
+  --output "${WORK_DIR}/never.csv")
+
+expect_exit(3 "InvalidSpec (overlap_io budget below k + 2 * max(k, 2))"
+  --job "${WORK_DIR}/overlap_budget_job.json"
   --output "${WORK_DIR}/never.csv")
 
 expect_exit(4 "UnknownAlgorithm"
