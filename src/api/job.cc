@@ -605,6 +605,12 @@ Status JobSpec::Validate() const {
   }
 
   // Execution.
+  if (execution.threads > kMaxJobThreads) {
+    return SpecError("execution.threads must be <= " +
+                     std::to_string(kMaxJobThreads) + " (0 = one per "
+                     "hardware thread), got " +
+                     std::to_string(execution.threads));
+  }
   if (execution.mode == ExecutionMode::kStreaming) {
     if (input.kind == InputKind::kDataset) {
       return SpecError(

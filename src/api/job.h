@@ -90,10 +90,16 @@ struct JobAlgorithm {
   uint64_t seed = 1;
 };
 
+// Largest execution.threads a spec may ask for. RunJob starts that many
+// OS threads for the job's pool, and a spec can come from a remote
+// client, so Validate rejects anything above it as kInvalidSpec.
+inline constexpr size_t kMaxJobThreads = 256;
+
 // Execution shape: mode, parallelism and memory budget.
 struct JobExecution {
   ExecutionMode mode = ExecutionMode::kInMemory;
-  size_t threads = 1;        // 0 = one per hardware thread
+  // 0 = one per hardware thread; at most kMaxJobThreads.
+  size_t threads = 1;
   size_t shard_size = 4096;  // rows per shard; 0 disables sharding
   // Streaming only: resident input-row budget. A window is filled to
   // max_resident_rows - k rows and k more are read ahead, so the budget

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <optional>
 #include <utility>
 
 #include "common/timer.h"
@@ -24,10 +23,8 @@ ShardPlan MakeShardPlan(size_t num_records, size_t shard_size, size_t k) {
         1, (num_records + shard_size / 2) / shard_size);
     // Keep every shard workable: at least max(3k, 2) rows each.
     size_t min_rows = std::max<size_t>(3 * k, 2);
-    if (min_rows > 0) {
-      num_shards = std::min(num_shards, std::max<size_t>(
-                                            1, num_records / min_rows));
-    }
+    num_shards = std::min(num_shards,
+                          std::max<size_t>(1, num_records / min_rows));
   }
   plan.shards.assign(num_shards, {});
   for (size_t s = 0; s < num_shards; ++s) {
@@ -163,37 +160,29 @@ Result<AnonymizationResult> ShardedAnonymize(
   // Per-shard runs steer by their shard's confidential distribution; the
   // round-robin plan keeps those close to the global one, and this pass
   // deterministically repairs whatever residual violations remain.
-  size_t final_merges = 0;
-  std::optional<EmdCalculator> global_emd;
-  if (options.final_merge) {
+  stage_timer.Restart();
+  EmdCalculator global_emd(data, 0);
+  MergeStats merge_stats;
+  {
     TraceSpan span("merge");
-    stage_timer.Restart();
     QiSpace space(data, params.normalization);
-    global_emd.emplace(data, 0);
     MergeOptions merge_options;
     merge_options.strategy = options.merge_strategy;
     merge_options.pool = pool;
-    // The hierarchical engine's bytes differ from the sequential pin
-    // anyway, so it also takes the bound-pruning fast path.
-    merge_options.prune =
-        options.merge_strategy == MergeStrategy::kHierarchical;
-    MergeStats merge_stats;
     TCM_ASSIGN_OR_RETURN(
-        merged,
-        MergeUntilTCloseWith(space, {&*global_emd}, params.t,
-                             std::move(merged), merge_options,
-                             &merge_stats));
-    final_merges = merge_stats.merges;
-    if (stats != nullptr) {
-      stats->final_merges = final_merges;
-      stats->merge_seconds = stage_timer.ElapsedSeconds();
-      stats->merge_subtrees = merge_stats.num_subtrees;
-      stats->subtree_merges = merge_stats.subtree_merges;
-      stats->tail_merges = merge_stats.tail_merges;
-      stats->candidate_checks = merge_stats.candidate_checks;
-      stats->pruned_checks = merge_stats.pruned_checks;
-      stats->exact_checks = merge_stats.exact_checks;
-    }
+        merged, MergeUntilTCloseWith(space, {&global_emd}, params.t,
+                                     std::move(merged), merge_options,
+                                     &merge_stats));
+  }
+  if (stats != nullptr) {
+    stats->final_merges = merge_stats.merges;
+    stats->merge_seconds = stage_timer.ElapsedSeconds();
+    stats->merge_subtrees = merge_stats.num_subtrees;
+    stats->subtree_merges = merge_stats.subtree_merges;
+    stats->tail_merges = merge_stats.tail_merges;
+    stats->candidate_checks = merge_stats.candidate_checks;
+    stats->pruned_checks = merge_stats.pruned_checks;
+    stats->exact_checks = merge_stats.exact_checks;
   }
 
   TraceSpan measure_span("metrics");
@@ -201,10 +190,10 @@ Result<AnonymizationResult> ShardedAnonymize(
   TCM_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       MeasurePartition(data, std::move(merged), timer.ElapsedSeconds(),
-                       global_emd ? &*global_emd : nullptr));
+                       &global_emd));
   if (stats != nullptr) stats->measure_seconds = stage_timer.ElapsedSeconds();
   result.elapsed_seconds = timer.ElapsedSeconds();
-  result.merges = final_merges;
+  result.merges = merge_stats.merges;
   return result;
 }
 

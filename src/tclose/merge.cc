@@ -218,29 +218,23 @@ void AddCounters(const EngineCounters& from, MergeStats* into) {
 }
 
 // Number of hierarchical subtrees for `num_clusters` clusters over
-// `num_rows` rows. Deliberately a pure function of the data and options —
+// `num_rows` rows. Deliberately a pure function of the data —
 // never of the pool's thread count — so a release is reproducible at any
 // parallelism. Each subtree must hold enough rows to form several t-close
 // clusters of the paper's minimum size (Eq. 3 RequiredClusterSize,
 // adjusted per Eq. 4), and enough clusters that the fan-out overhead is
 // worth paying.
-size_t PickSubtreeCount(size_t num_rows, size_t num_clusters, double t,
-                        const MergeOptions& options) {
+size_t PickSubtreeCount(size_t num_rows, size_t num_clusters, double t) {
   constexpr size_t kMinSubtreeClusters = 64;
-  constexpr size_t kDefaultMaxSubtrees = 16;
+  constexpr size_t kMaxSubtrees = 16;
   constexpr size_t kTargetClustersPerSubtree = 8;
   if (num_rows < 2 || num_clusters < 2 * kMinSubtreeClusters) return 1;
-  size_t min_rows = options.min_subtree_rows;
-  if (min_rows == 0) {
-    size_t k_star = AdjustClusterSizeForRemainder(
-        num_rows, RequiredClusterSize(num_rows, 1, t));
-    min_rows = kTargetClustersPerSubtree * std::max<size_t>(1, k_star);
-  }
-  size_t cap = options.max_subtrees == 0 ? kDefaultMaxSubtrees
-                                         : options.max_subtrees;
-  size_t by_rows = num_rows / std::max<size_t>(1, min_rows);
+  size_t k_star = AdjustClusterSizeForRemainder(
+      num_rows, RequiredClusterSize(num_rows, 1, t));
+  size_t min_rows = kTargetClustersPerSubtree * std::max<size_t>(1, k_star);
+  size_t by_rows = num_rows / min_rows;
   size_t by_clusters = num_clusters / kMinSubtreeClusters;
-  size_t subtrees = std::min({by_rows, by_clusters, cap});
+  size_t subtrees = std::min({by_rows, by_clusters, kMaxSubtrees});
   return std::max<size_t>(1, subtrees);
 }
 
@@ -289,17 +283,20 @@ Result<Partition> MergeUntilTCloseWith(
   }
 
   MergeStats local;
+  // Only the hierarchical engine prunes: its bytes differ from the
+  // sequential pin anyway, and sequential stats stay exact.
   const bool hierarchical =
       options.strategy == MergeStrategy::kHierarchical;
+  const bool prune = hierarchical;
   const size_t subtrees =
       hierarchical ? PickSubtreeCount(space.num_records(),
-                                      initial.clusters.size(), t, options)
+                                      initial.clusters.size(), t)
                    : 1;
 
   EngineCounters init_counters;
   std::vector<ClusterState> states =
-      InitStates(space, emds, t, /*prune_init=*/hierarchical && options.prune,
-                 std::move(initial), &init_counters);
+      InitStates(space, emds, t, /*prune_init=*/prune, std::move(initial),
+                 &init_counters);
 
   EngineCounters tail_counters;
   if (subtrees > 1) {
@@ -322,10 +319,9 @@ Result<Partition> MergeUntilTCloseWith(
     states.clear();
 
     std::vector<EngineCounters> slice_counters(subtrees);
-    auto run_slice = [&emds, t, &options, &slices,
-                      &slice_counters](size_t s) {
+    auto run_slice = [&emds, t, prune, &slices, &slice_counters](size_t s) {
       TraceSpan span("merge_subtree");
-      RunEngine(emds, t, options.prune, &slices[s], &slice_counters[s]);
+      RunEngine(emds, t, prune, &slices[s], &slice_counters[s]);
     };
     if (options.pool != nullptr) {
       std::vector<std::future<void>> futures;
@@ -362,9 +358,9 @@ Result<Partition> MergeUntilTCloseWith(
       slices[s].clear();
     }
     TraceSpan tail_span("merge_tail");
-    RunEngine(emds, t, options.prune, &states, &tail_counters);
+    RunEngine(emds, t, prune, &states, &tail_counters);
   } else {
-    RunEngine(emds, t, options.prune, &states, &tail_counters);
+    RunEngine(emds, t, prune, &states, &tail_counters);
   }
 
   AddCounters(init_counters, &local);

@@ -55,32 +55,21 @@ struct MergeStats {
 };
 
 // Tuning for MergeUntilTCloseWith.
+//
+// kHierarchical also answers per-cluster EMD checks from the paper's
+// closed-form bounds when possible: a freshly merged cluster whose mixture
+// upper bound (MixtureEmdUpperBound) already meets t is provably safe, and
+// an initial cluster small enough that MinClusterEmd exceeds t is provably
+// violating; neither needs an exact evaluation, so final_max_emd may be an
+// upper bound. kSequential always evaluates exactly, which keeps its
+// partition and stats the byte-stable reference. The subtree floor and
+// cap are fixed (see PickSubtreeCount in merge.cc).
 struct MergeOptions {
   MergeStrategy strategy = MergeStrategy::kSequential;
 
   // Subtree fan-out target for kHierarchical; ignored (may be null) for
   // kSequential. Null runs the subtrees inline on the caller.
   ThreadPool* pool = nullptr;
-
-  // Answer per-cluster EMD checks from the paper's closed-form bounds
-  // when possible: a freshly merged cluster whose mixture upper bound
-  // (MixtureEmdUpperBound) already meets t is provably safe, and — in
-  // the hierarchical engine only — an initial cluster small enough that
-  // MinClusterEmd exceeds t is provably violating; neither needs an
-  // exact evaluation. Safe-side pruning never changes which cluster the
-  // worst-first scan selects (only values above t compete), so the
-  // sequential partition bytes are unchanged; final_max_emd may become
-  // an upper bound. Off by default to keep legacy stats bit-stable.
-  bool prune = false;
-
-  // Minimum rows a hierarchical subtree must hold; 0 derives the floor
-  // from RequiredClusterSize/AdjustClusterSizeForRemainder so each
-  // subtree can form several t-close clusters of the paper's minimum
-  // size. Ignored by kSequential.
-  size_t min_subtree_rows = 0;
-
-  // Cap on concurrent subtrees; 0 = automatic. Ignored by kSequential.
-  size_t max_subtrees = 0;
 };
 
 // Algorithm 1 (paper Sec. 5), merging phase only: repeatedly merge the
@@ -104,9 +93,9 @@ Result<Partition> MergeUntilTCloseMulti(
     const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
     double t, Partition initial, MergeStats* stats = nullptr);
 
-// Full-control variant: everything above plus strategy selection, bound
-// pruning and the subtree fan-out. MergeUntilTClose/-Multi delegate here
-// with default options (sequential, no pruning).
+// Full-control variant: everything above plus strategy selection and the
+// subtree fan-out. MergeUntilTClose/-Multi delegate here with default
+// options (sequential).
 Result<Partition> MergeUntilTCloseWith(
     const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
     double t, Partition initial, const MergeOptions& options,

@@ -174,6 +174,14 @@ TEST(JobSpecJsonTest, RejectionCorpus) {
       {R"({"input": {"kind": "csv", "path": "x.csv"}})",
        "needs roles"},
       {R"({"execution": {"mode": "turbo"}})", "execution.mode"},
+      // Each thread is a real OS thread; a remote spec cannot ask for
+      // billions of them.
+      {R"({"input": {"kind": "synthetic"},
+           "execution": {"threads": 4000000000}})",
+       "execution.threads must be <= 256"},
+      {R"({"input": {"kind": "synthetic"},
+           "execution": {"threads": 257}})",
+       "execution.threads must be <= 256"},
       {R"({"input": {"kind": "synthetic"},
            "execution": {"mode": "streaming", "max_resident_rows": 5}})",
        "max_resident_rows"},

@@ -1,5 +1,5 @@
-// Tests for the partition refinement stage and the categorical
-// t-closeness verifiers, plus parser robustness fuzzing.
+// Tests for the partition refinement stage, plus parser robustness
+// fuzzing.
 
 #include <string>
 #include <vector>
@@ -12,8 +12,6 @@
 #include "distance/qi_space.h"
 #include "microagg/mdav.h"
 #include "microagg/refine.h"
-#include "privacy/categorical_tcloseness.h"
-#include "tclose/nominal.h"
 
 namespace tcm {
 namespace {
@@ -142,95 +140,6 @@ TEST(RefineTest, RejectsPartitionBelowMinimum) {
   RefineOptions options;
   options.min_cluster_size = 2;
   EXPECT_FALSE(RefinePartition(space, singletons, options).ok());
-}
-
-// ----------------------------------------------- Categorical verification
-
-Dataset OrdinalReleased() {
-  Schema schema({
-      Attribute{"qi", AttributeType::kNumeric,
-                AttributeRole::kQuasiIdentifier, {}},
-      Attribute{"grade", AttributeType::kOrdinal, AttributeRole::kConfidential,
-                {"low", "mid", "high"}},
-  });
-  Dataset data(schema);
-  // Two equivalence classes; class 1 skews low, class 2 skews high.
-  auto add = [&data](double qi, int32_t grade) {
-    EXPECT_TRUE(
-        data.Append({Value::Numeric(qi), Value::Categorical(grade)}).ok());
-  };
-  add(1, 0); add(1, 0); add(1, 1);
-  add(2, 1); add(2, 2); add(2, 2);
-  return data;
-}
-
-TEST(CategoricalVerifyTest, OrdinalReportKnownValues) {
-  auto report = EvaluateOrdinalTCloseness(OrdinalReleased());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_equivalence_classes, 2u);
-  // Global: (2/6, 2/6, 2/6); class 1: (2/3, 1/3, 0).
-  // Cumulative diffs: |1/3| + |1/3| -> /(m-1)=2 -> 1/3. Symmetric class 2.
-  EXPECT_NEAR(report->max_distance, 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(report->mean_distance, 1.0 / 3.0, 1e-12);
-  EXPECT_TRUE(IsOrdinalTClose(OrdinalReleased(), 0.34).value());
-  EXPECT_FALSE(IsOrdinalTClose(OrdinalReleased(), 0.3).value());
-}
-
-TEST(CategoricalVerifyTest, TypeMismatchRejected) {
-  Dataset data = OrdinalReleased();
-  EXPECT_FALSE(EvaluateNominalTCloseness(data).ok());
-  Dataset numeric = MakeUniformDataset(10, 1, 3);
-  EXPECT_FALSE(EvaluateOrdinalTCloseness(numeric).ok());
-}
-
-TEST(CategoricalVerifyTest, NominalVerifierMatchesTvHelper) {
-  // Build a nominal release via the nominal t-closeness-first algorithm
-  // and cross-check the verifier against ClusterTotalVariation.
-  Schema schema({
-      Attribute{"q1", AttributeType::kNumeric,
-                AttributeRole::kQuasiIdentifier, {}},
-      Attribute{"q2", AttributeType::kNumeric,
-                AttributeRole::kQuasiIdentifier, {}},
-      Attribute{"diag", AttributeType::kNominal, AttributeRole::kConfidential,
-                {"a", "b", "c", "d"}},
-  });
-  Dataset data(schema);
-  Rng rng(17);
-  std::vector<int32_t> categories;
-  for (int i = 0; i < 400; ++i) {
-    int32_t code = static_cast<int32_t>(rng.NextBounded(4));
-    categories.push_back(code);
-    ASSERT_TRUE(data.Append({Value::Numeric(rng.NextDouble()),
-                             Value::Numeric(rng.NextDouble()),
-                             Value::Categorical(code)})
-                    .ok());
-  }
-  QiSpace space(data);
-  auto partition =
-      NominalTCloseFirstPartition(space, categories, 3, 0.15);
-  ASSERT_TRUE(partition.ok());
-  // Aggregate to equivalence classes, then verify.
-  double expected_max = 0.0;
-  for (const Cluster& cluster : partition->clusters) {
-    expected_max =
-        std::max(expected_max, ClusterTotalVariation(categories, cluster));
-  }
-  // Build the released dataset: QIs replaced by cluster ids (simplest
-  // equivalence-class marker), nominal column untouched.
-  Dataset released = data;
-  auto assignment = partition->AssignmentVector();
-  for (size_t row = 0; row < released.NumRecords(); ++row) {
-    ASSERT_TRUE(released
-                    .SetCell(row, 0,
-                             Value::Numeric(
-                                 static_cast<double>(assignment[row])))
-                    .ok());
-    ASSERT_TRUE(released.SetCell(row, 1, Value::Numeric(0)).ok());
-  }
-  auto report = EvaluateNominalTCloseness(released);
-  ASSERT_TRUE(report.ok());
-  EXPECT_NEAR(report->max_distance, expected_max, 1e-12);
-  EXPECT_LE(report->max_distance, 0.15 + 1e-9);
 }
 
 // -------------------------------------------------------------- Fuzzing

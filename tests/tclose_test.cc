@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/generator.h"
 #include "distance/emd.h"
 #include "distance/emd_bounds.h"
@@ -143,7 +144,6 @@ TEST(MergeTest, HierarchicalMatchesSequentialGuarantees) {
 
   MergeOptions options;
   options.strategy = MergeStrategy::kHierarchical;
-  options.prune = true;
   ThreadPool pool(4);
   options.pool = &pool;
   MergeStats pooled_stats;
@@ -547,6 +547,43 @@ TEST(AnonymizerTest, Paper_Table3SizesIndependentOfCorrelation) {
     EXPECT_EQ(mcd->min_cluster_size, hcd->min_cluster_size);
     EXPECT_EQ(mcd->max_cluster_size, hcd->max_cluster_size);
   }
+}
+
+// ------------------------------------------- Ordinal confidential attribute
+
+TEST(OrdinalConfidentialTest, AnonymizeHandlesOrdinalConfidential) {
+  // Future-work item (iii): numeric QIs with an ordinal (rankable)
+  // confidential attribute flow through the full pipeline; EMD operates
+  // on the category ranks.
+  Schema schema({
+      Attribute{"age", AttributeType::kNumeric,
+                AttributeRole::kQuasiIdentifier, {}},
+      Attribute{"income", AttributeType::kNumeric,
+                AttributeRole::kQuasiIdentifier, {}},
+      Attribute{"severity", AttributeType::kOrdinal,
+                AttributeRole::kConfidential,
+                {"none", "mild", "moderate", "severe", "critical"}},
+  });
+  Dataset data(schema);
+  Rng rng(33);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(data.Append({Value::Numeric(20 + rng.NextDouble() * 60),
+                             Value::Numeric(rng.NextDouble() * 1e5),
+                             Value::Categorical(static_cast<int32_t>(
+                                 rng.NextBounded(5)))})
+                    .ok());
+  }
+  AnonymizerOptions options;
+  options.k = 4;
+  options.t = 0.1;
+  auto result = Anonymize(data, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(result->max_cluster_emd, 0.1 + 1e-9);
+  auto verified = IsTClose(result->anonymized, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(*verified);
+  // Ordinal column released unchanged.
+  EXPECT_EQ(result->anonymized.ColumnAsDouble(2), data.ColumnAsDouble(2));
 }
 
 }  // namespace

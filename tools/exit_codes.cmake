@@ -54,6 +54,13 @@ file(WRITE "${WORK_DIR}/overlap_budget_job.json" [[{
                 "overlap_io": true}
 }]])
 
+# Every pool thread is an OS thread: a spec may ask for at most 256.
+file(WRITE "${WORK_DIR}/threads_job.json" [[{
+  "version": 1,
+  "input": {"kind": "synthetic", "generator": "uniform", "rows": 120},
+  "execution": {"threads": 4000000000}
+}]])
+
 file(WRITE "${WORK_DIR}/unknown_algorithm_job.json" [[{
   "version": 1,
   "input": {"kind": "synthetic"},
@@ -99,6 +106,10 @@ expect_exit(3 "InvalidSpec" --job "${WORK_DIR}/invalid_spec_job.json"
 
 expect_exit(3 "InvalidSpec (overlap_io budget below k + 2 * max(k, 2))"
   --job "${WORK_DIR}/overlap_budget_job.json"
+  --output "${WORK_DIR}/never.csv")
+
+expect_exit(3 "InvalidSpec (execution.threads above 256)"
+  --job "${WORK_DIR}/threads_job.json"
   --output "${WORK_DIR}/never.csv")
 
 expect_exit(4 "UnknownAlgorithm"
